@@ -60,7 +60,9 @@ from .cylinders import (
 from .randmeas import (
     CheckReport,
     IntensityParams,
+    MeasureBatch,
     SampleBatch,
+    df_batch,
     estimate_intensity,
     invariance_checks,
     mecke_check_df,

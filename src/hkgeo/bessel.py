@@ -15,8 +15,7 @@ from scipy.integrate import quad
 from scipy.special import rgamma
 
 from . import _kernels
-from .cylinders import evaluate, gradient, tangent_norm_14
-from .measures import DiscreteMeasure
+from .cylinders import CylinderFunction, OuterFunction, gradient, one_kernel
 from .randmeas import lambda_window_mass, mlp_window_batch
 
 __all__ = [
@@ -255,6 +254,16 @@ def bessel_ode_residual(theta, t, solution="first"):
     return abs(t * d2 + theta * d1 - val)
 
 
+def _form_values(u, params, window, n, rng_seed):
+    """Per-sample sum_j w_j (|hor_j|^2 + 4 ver_j^2) of u over the
+    mass-windowed multiplicative Lebesgue law (one batched gradient call),
+    and the largest horizontal component."""
+    mu = mlp_window_batch(params, window, n, rng_seed).measures
+    hor, ver = gradient(u, mu)
+    vals = mu.row_sums(mu.atom_weights * (np.sum(hor * hor, axis=1) + 4.0 * ver**2))
+    return vals, float(np.abs(hor).max(initial=0.0))
+
+
 def radial_form_mc(theta, params, chi, window, n, rng_seed, cap=None):
     """Monte-Carlo vs quadrature for the radial Dirichlet form.
 
@@ -268,27 +277,17 @@ def radial_form_mc(theta, params, chi, window, n, rng_seed, cap=None):
         raise ValueError("chi' support must sit inside the mass window")
     if cap is None:
         cap = b
-    from .cylinders import CylinderFunction, OuterFunction, one_kernel
-
     u = CylinderFunction(
         OuterFunction(lambda v: 1.0, [lambda v: 0.0], 1),
         [one_kernel()],
         cutoff=lambda m: chi.f(m),
         cutoff_prime=lambda m: chi.d1(m),
     )
-    batch = mlp_window_batch(params, window, n, rng_seed)
+    vals, max_hor = _form_values(u, params, window, n, rng_seed)
     z = lambda_window_mass(theta, window)
-    vals = np.empty(n)
-    max_hor = 0.0
-    for i, mu in enumerate(batch.measures):
-        hor, ver = gradient(u, mu)
-        max_hor = max(max_hor, float(np.abs(hor).max(initial=0.0)))
-        vals[i] = np.sum(mu.weights * (np.sum(hor * hor, axis=1) + 4.0 * ver**2))
-    mc = 0.25 * z * vals.mean()
-    se = 0.25 * z * vals.std(ddof=1) / np.sqrt(n)
     return {
-        "mc": float(mc),
-        "se": float(se),
+        "mc": float(0.25 * z * vals.mean()),
+        "se": float(0.25 * z * vals.std(ddof=1) / np.sqrt(n)),
         "quad": quadrature_E(theta, chi.d1, cap),
         "max_horizontal": max_hor,
         "n": n,
@@ -302,10 +301,6 @@ def dirichlet_form_mc(u, theta, params, window, n, rng_seed):
         E(u) ~ lambda_theta([a,b]) * mean of sum_j w_j (|hor_j|^2 + 4 ver_j^2).
 
     u must vanish outside the mass window (e.g. via a truncation factor)."""
-    batch = mlp_window_batch(params, window, n, rng_seed)
+    vals, _ = _form_values(u, params, window, n, rng_seed)
     z = lambda_window_mass(theta, window)
-    vals = np.empty(n)
-    for i, mu in enumerate(batch.measures):
-        hor, ver = gradient(u, mu)
-        vals[i] = np.sum(mu.weights * (np.sum(hor * hor, axis=1) + 4.0 * ver**2))
     return float(z * vals.mean()), float(z * vals.std(ddof=1) / np.sqrt(n))

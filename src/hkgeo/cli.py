@@ -35,15 +35,13 @@ from .potentials import gradient_duality_value, grid_measure_on_ball, legendre_p
 from . import cylinders as cyl
 from .randmeas import (
     IntensityParams,
+    df_batch,
     estimate_intensity,
     gamma_batch,
     invariance_checks,
     mecke_check_df,
     mecke_check_mlp,
     mlp_window_batch,
-    sample_df,
-    sample_gamma_measure,
-    sample_mlp,
 )
 from . import bessel as bes
 
@@ -95,26 +93,34 @@ def _read_config(path):
     return cfg
 
 
-def _resolve(args, parser_defaults, config_keys):
-    """Fill argparse values from the config file where flags were not given."""
-    if not getattr(args, "config", None):
-        return
-    cfg = _read_config(args.config)
-    for key, raw in cfg.items():
-        if key not in config_keys:
-            continue
-        if getattr(args, key, None) is not None and getattr(args, key) != parser_defaults.get(key):
+def _resolve(args):
+    """Fill each flag left off the command line from the config file, else
+    from its subcommand's own default (see _defaults_after_config)."""
+    cfg = _read_config(args.config) if getattr(args, "config", None) else {}
+    for key, default in args._defaults.items():
+        if hasattr(args, key):
             continue  # explicit flag wins
-        default = parser_defaults.get(key)
-        if isinstance(default, bool):
-            value = raw.lower() in ("1", "true", "yes")
-        elif isinstance(default, int) and not isinstance(default, bool):
-            value = int(raw)
-        elif isinstance(default, float):
-            value = float(raw)
+        if key not in cfg:
+            value = default
+        elif isinstance(default, bool):
+            value = cfg[key].lower() in ("1", "true", "yes")
+        elif isinstance(default, (int, float)):
+            value = type(default)(cfg[key])
         else:
-            value = raw
+            value = cfg[key]
         setattr(args, key, value)
+
+
+def _defaults_after_config(p, func):
+    """Give p's optional flags the default SUPPRESS, so the parsed namespace
+    holds exactly the flags given, and keep their real defaults on the
+    namespace as _defaults; _resolve applies config values, then these."""
+    defaults = {}
+    for action in p._actions:
+        if action.option_strings and not action.required and action.default is not argparse.SUPPRESS:
+            defaults[action.dest] = action.default
+            action.default = argparse.SUPPRESS
+    p.set_defaults(func=func, _defaults=defaults)
 
 
 def _config_dict(args, skip=("func", "config")):
@@ -253,26 +259,20 @@ def cmd_simulate_besq(args):
 
 
 def cmd_sample(args):
-    rng = np.random.default_rng(args.seed)
     params = IntensityParams(args.theta, dim=args.dim)
     window = _parse_window(args.window) if args.window else None
-    records = []
-    for _ in range(args.n):
-        if args.law == "df":
-            mu = sample_df(params, args.beta, rng=rng)
-            iw = 1.0
-        elif args.law == "gamma":
-            mu = sample_gamma_measure(params, rng=rng)
-            iw = 1.0
-        elif args.law == "mlp":
-            if window is None:
-                raise ValueError("sample mlp requires --window a,b")
-            mu, iw = sample_mlp(params, window, rng=rng)
-        else:
-            raise ValueError(f"unknown law {args.law!r}")
-        rec = measure_to_json(mu)
-        rec["iw"] = iw
-        records.append(rec)
+    if args.law == "df":
+        batch = df_batch(params, args.beta, args.n, args.seed)
+    elif args.law == "gamma":
+        batch = gamma_batch(params, args.n, args.seed).measures
+    elif args.law == "mlp":
+        if window is None:
+            raise ValueError("sample mlp requires --window a,b")
+        batch = mlp_window_batch(params, window, args.n, args.seed).measures
+    else:
+        raise ValueError(f"unknown law {args.law!r}")
+    # each law is sampled directly, so every record has importance weight 1
+    records = [dict(measure_to_json(mu), iw=1.0) for mu in batch]
     header = {
         "provenance": {
             "law": args.law,
@@ -599,7 +599,7 @@ def build_parser():
     p.add_argument("--plan", action="store_true", help="include the optimal plan")
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_dist)
+    _defaults_after_config(p, cmd_dist)
 
     p = sub.add_parser("mollify", help="grid mollification of a measure")
     p.add_argument("measure")
@@ -607,7 +607,7 @@ def build_parser():
     p.add_argument("--spacing", type=float, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_mollify)
+    _defaults_after_config(p, cmd_mollify)
 
     p = sub.add_parser("potentials", help="optimal Legendre potential pair")
     p.add_argument("measure")
@@ -619,7 +619,7 @@ def build_parser():
     p.add_argument("--tol", type=float, default=5e-3)
     p.add_argument("--out", required=True, help="output prefix")
     p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_potentials)
+    _defaults_after_config(p, cmd_potentials)
 
     p = sub.add_parser("validate", help="run a validation suite")
     p.add_argument("suite", choices=sorted(SUITES))
@@ -630,7 +630,7 @@ def build_parser():
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_validate)
+    _defaults_after_config(p, cmd_validate)
 
     p = sub.add_parser("simulate", help="simulate a stochastic process")
     sim_sub = p.add_subparsers(dest="process", required=True)
@@ -643,7 +643,7 @@ def build_parser():
     pb.add_argument("--seed", type=int, required=True)
     pb.add_argument("--out", required=True)
     pb.add_argument("--config", default=None)
-    pb.set_defaults(func=cmd_simulate_besq)
+    _defaults_after_config(pb, cmd_simulate_besq)
 
     p = sub.add_parser("sample", help="sample random measures")
     p.add_argument("law", choices=["df", "gamma", "mlp"])
@@ -655,7 +655,7 @@ def build_parser():
     p.add_argument("--window", default=None, help="mass window 'a,b' for mlp")
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_sample)
+    _defaults_after_config(p, cmd_sample)
 
     p = sub.add_parser("limits", help="scaling-limit ladder diagnostics")
     p.add_argument("measure0")
@@ -664,22 +664,15 @@ def build_parser():
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_limits)
+    _defaults_after_config(p, cmd_limits)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    defaults = {
-        a.dest: a.default
-        for sp in parser._subparsers._group_actions
-        for p in getattr(sp, "choices", {}).values()
-        for a in p._actions
-    }
+    args = build_parser().parse_args(argv)
     try:
-        _resolve(args, defaults, set(vars(args)))
+        _resolve(args)
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

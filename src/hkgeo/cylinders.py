@@ -12,6 +12,7 @@ import numpy as np
 
 from .measures import DiscreteMeasure, hellinger_sq, wasserstein_sq
 from .let import hk_sq
+from .randmeas import MeasureBatch
 
 __all__ = [
     "ScalarField",
@@ -146,17 +147,29 @@ class CylinderFunction:
         self.name = name
 
     def kernel_integrals(self, mu):
-        if len(mu) == 0:
-            return np.zeros(len(self.kernels))
-        return np.array(
-            [np.sum(k.values(mu.weights, mu.points) * mu.weights) for k in self.kernels]
-        )
+        return _kernel_terms(self, _as_batch(mu))[1][0]
+
+
+def _as_batch(mu):
+    """A MeasureBatch as it is; a DiscreteMeasure as the one-row batch."""
+    return mu if isinstance(mu, MeasureBatch) else MeasureBatch(mu.points[None], mu.weights[None])
+
+
+def _kernel_terms(u, batch):
+    """Kernel values at the atoms (k, m) and the kernel integrals (n, k)."""
+    w, p = batch.atom_weights, batch.atom_points
+    vals = np.reshape([kern.values(w, p) for kern in u.kernels], (len(u.kernels), len(w)))
+    return vals, batch.row_sums((vals * w).T)
+
+
+def _per_measure(fn, args):
+    """A scalar callable (outer function, partial or cutoff) at each measure."""
+    return np.array([fn(a) for a in args], dtype=float)
 
 
 def evaluate(u, mu):
     """u(mu) = chi(mu M) * F(f*mu); extended kernels receive the atom masses."""
-    args = u.kernel_integrals(mu)
-    val = u.outer.value(args)
+    val = u.outer.value(u.kernel_integrals(mu))
     if u.cutoff is not None:
         val *= u.cutoff(mu.mass)
     return float(val)
@@ -168,26 +181,30 @@ def gradient(u, mu):
     hor_j = chi * sum_i dF_i * grad f_i(mu_x, x_j)
     ver_j = chi * sum_i dF_i * (f_i(mu_x, x_j) + mu_x f_i'(mu_x, x_j))
             + chi'(mu M) * F
+
+    mu is a DiscreteMeasure, giving hor (n, d) and ver (n,) aligned with its
+    atoms, or a MeasureBatch, giving them over the batch's positive-weight
+    atoms (atom_points, measure ids rows).  Kernels are called once on all
+    atoms of the batch; the outer function, its partials and the cutoff
+    keep their scalar contract and are called once per measure.
     """
-    n = len(mu)
-    hor = np.zeros((n, mu.dim))
-    ver = np.zeros(n)
-    if n == 0:
-        return hor, ver
-    args = u.kernel_integrals(mu)
-    fval = u.outer.value(args)
-    chi = u.cutoff(mu.mass) if u.cutoff is not None else 1.0
+    batch = _as_batch(mu)
+    w, p = batch.atom_weights, batch.atom_points
+    vals, args = _kernel_terms(u, batch)
+    hor = np.zeros((len(w), batch.dim))
+    ver = np.zeros(len(w))
+    masses = batch.masses
+    chi = _per_measure(u.cutoff, masses) if u.cutoff is not None else np.ones(len(batch))
     for i, kern in enumerate(u.kernels):
-        di = u.outer.partials[i](args)
-        if di == 0.0:
+        di = _per_measure(u.outer.partials[i], args)
+        if not di.any():
             continue
-        hor += chi * di * kern.gradients(mu.weights, mu.points)
-        ver += chi * di * (
-            kern.values(mu.weights, mu.points)
-            + mu.weights * kern.mass_derivative(mu.weights, mu.points)
-        )
+        di = (chi * di)[batch.rows]
+        hor += di[:, None] * kern.gradients(w, p)
+        ver += di * (vals[i] + w * kern.mass_derivative(w, p))
     if u.cutoff is not None:
-        ver += u.cutoff_prime(mu.mass) * fval
+        fval = _per_measure(u.outer.value, args)
+        ver += (_per_measure(u.cutoff_prime, masses) * fval)[batch.rows]
     return hor, ver
 
 

@@ -8,8 +8,15 @@ fails it; see tests/test_randmeas.py for the two-convention experiment).
 Expectations against the sigma-finite law are computed either windowed in
 mass (exact restriction, product structure) or Gamma-reweighted with the
 density e^{mass} and exponential damping.
+
+Samplers and validators draw whole batches (MeasureBatch) from one truncated
+stick matrix (Ishwaran & James, JASA 96, 2001) and one base_sampler call; the
+single-measure samplers are the n = 1 rows of the batch samplers.
 """
 
+import math
+import os
+import time
 from math import gamma as gamma_fn
 
 import numpy as np
@@ -18,10 +25,12 @@ from .measures import DiscreteMeasure
 
 __all__ = [
     "IntensityParams",
+    "MeasureBatch",
     "SampleBatch",
     "CheckReport",
     "uniform_ball_sampler",
     "stick_weights",
+    "df_batch",
     "sample_df",
     "sample_lambda_window",
     "lambda_window_mass",
@@ -70,18 +79,87 @@ class IntensityParams:
         self.dim = int(dim)
 
 
+class MeasureBatch:
+    """n measures on R^d as padded arrays: points (n, K, d), weights (n, K).
+
+    A zero weight is padding.  The flattened views atom_points, atom_weights
+    and rows (rows[j] is the measure of atom j) hold only the positive-weight
+    atoms, in row-major order; they are what user callables receive, and they
+    are computed once, so treat a batch as read-only.  Atoms within a row are
+    taken as distinct (the samplers draw them from a diffuse nu); indexing or
+    iterating yields DiscreteMeasures, which merge coinciding atoms.
+    """
+
+    __slots__ = ("points", "weights", "dim", "rows", "atom_points", "atom_weights")
+
+    def __init__(self, points, weights):
+        self.points = points = np.asarray(points, dtype=float)
+        self.weights = weights = np.asarray(weights, dtype=float)
+        if points.ndim != 3 or weights.shape != points.shape[:2]:
+            raise ValueError(f"need points (n, K, d) and weights (n, K), not {points.shape}, {weights.shape}")
+        if not (np.isfinite(points).all() and np.isfinite(weights).all() and (weights >= 0).all()):
+            raise ValueError("points must be finite and weights finite and >= 0")
+        self.dim = points.shape[2]
+        live = np.flatnonzero(weights)
+        self.rows = live // max(weights.shape[1], 1)
+        self.atom_points = np.take(points.reshape(-1, self.dim), live, axis=0)
+        self.atom_weights = np.take(weights, live)
+
+    @classmethod
+    def pack(cls, measures):
+        """Pad a sequence of DiscreteMeasures of one dimension into a batch."""
+        measures = list(measures)
+        if not measures or len({m.dim for m in measures}) != 1:
+            raise ValueError("need a nonempty list of measures of one dimension")
+        n, dim = len(measures), measures[0].dim
+        sizes = np.array([len(m) for m in measures])
+        rows = np.repeat(np.arange(n), sizes)
+        cols = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        points = np.zeros((n, sizes.max(), dim))
+        weights = np.zeros((n, sizes.max()))
+        points[rows, cols] = np.concatenate([m.points for m in measures])
+        weights[rows, cols] = np.concatenate([m.weights for m in measures])
+        return cls(points, weights)
+
+    def __len__(self):
+        return self.weights.shape[0]
+
+    def __getitem__(self, i):
+        return DiscreteMeasure(self.points[i], self.weights[i], dim=self.dim)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def masses(self):
+        return self.row_sums(self.atom_weights)
+
+    def row_sums(self, values):
+        """Per-measure sums of per-atom values, (m,) or (m, ...) -> (n,) or (n, ...)."""
+        values = np.asarray(values, dtype=float)
+        tail = values.shape[1:]
+        cols = math.prod(tail)
+        bins = (self.rows[:, None] * cols + np.arange(cols)).ravel()
+        sums = np.bincount(bins, values.ravel(), minlength=len(self) * cols)
+        # bincount returns integers when the batch has no atoms
+        return sums.astype(float, copy=False).reshape((len(self),) + tail)
+
+
 class SampleBatch:
-    """Measures with importance weights representing a target law."""
+    """Measures with importance weights representing a target law; a list
+    of DiscreteMeasures is packed into a MeasureBatch."""
 
     __slots__ = ("measures", "weights", "provenance")
 
     def __init__(self, measures, weights, provenance):
+        if not isinstance(measures, MeasureBatch):
+            measures = MeasureBatch.pack(measures)
         weights = np.asarray(weights, dtype=float)
         if len(measures) != len(weights):
             raise ValueError("measures and weights must have equal length")
         if np.any(weights < 0):
             raise ValueError("importance weights must be >= 0")
-        self.measures = list(measures)
+        self.measures = measures
         self.weights = weights
         self.provenance = dict(provenance)
 
@@ -90,11 +168,11 @@ class SampleBatch:
 
 
 class CheckReport:
-    """Two-sided Monte-Carlo comparison with standard errors."""
+    """Two-sided Monte-Carlo comparison with standard errors and timing."""
 
-    __slots__ = ("name", "lhs", "rhs", "se_lhs", "se_rhs", "n", "verdict")
+    __slots__ = ("name", "lhs", "rhs", "se_lhs", "se_rhs", "n", "verdict", "runtime_s", "per_sample_us")
 
-    def __init__(self, name, lhs, rhs, se_lhs, se_rhs, n):
+    def __init__(self, name, lhs, rhs, se_lhs, se_rhs, n, runtime_s=0.0):
         self.name = name
         self.lhs = float(lhs)
         self.rhs = float(rhs)
@@ -104,79 +182,39 @@ class CheckReport:
         self.verdict = bool(
             abs(self.lhs - self.rhs) <= 3.0 * np.hypot(self.se_lhs, self.se_rhs) + 1e-15
         )
+        self.runtime_s = float(runtime_s)
+        self.per_sample_us = 1e6 * self.runtime_s / self.n if self.n else 0.0
 
     def as_dict(self):
         return {k: getattr(self, k) for k in self.__slots__}
 
 
-def stick_weights(beta, trunc_tol, rng):
-    """Stick-breaking weights with Beta(1, beta) sticks, truncated when the
-    residual stick mass drops below trunc_tol; the residual is returned as
-    the final entry so the weights sum to one exactly."""
+def _available_bytes():
+    """Free physical memory (unbounded where the platform does not report it)."""
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (ValueError, OSError):
+        return np.inf
+
+
+def _ensure_fits(n_floats, what):
+    """Refuse, before allocating, n_floats float64 values that do not fit in free memory."""
+    need, avail = 8 * n_floats, _available_bytes()
+    if need > avail:
+        raise ValueError(f"{what} needs about {need:,} bytes, but only {avail:,} bytes of memory are free")
+
+
+def _truncation_level(beta, trunc_tol):
     if beta <= 0 or not 0 < trunc_tol < 1:
         raise ValueError("need beta > 0 and trunc_tol in (0, 1)")
-    out = []
-    residual = 1.0
-    while residual >= trunc_tol:
-        v = rng.beta(1.0, beta)
-        out.append(residual * v)
-        residual *= 1.0 - v
-    out.append(residual)
-    return np.array(out)
-
-
-def sample_df(params, beta, trunc_tol=1e-10, rng=None):
-    """Dirichlet-Ferguson sample via stick-breaking: a purely atomic random
-    probability measure with atoms drawn iid from nu."""
-    if rng is None:
-        rng = np.random.default_rng()
-    q = stick_weights(beta, trunc_tol, rng)
-    x = params.base_sampler(rng, len(q))
-    return DiscreteMeasure(x, q, dim=params.dim)
-
-
-def sample_lambda_window(theta, window, rng):
-    """Mass with density t^{theta-1} restricted and normalized to [a, b],
-    a >= 0 < b, via the inverse CDF t = (a^theta + U (b^theta - a^theta))^{1/theta}."""
-    a, b = window
-    if not (0 <= a < b):
-        raise ValueError("window must satisfy 0 <= a < b")
-    u = rng.uniform(0, 1)
-    return float((a**theta + u * (b**theta - a**theta)) ** (1.0 / theta))
-
-
-def lambda_window_mass(theta, window):
-    """lambda_theta([a, b]) = (b^theta - a^theta) / Gamma(theta + 1)."""
-    a, b = window
-    return (b**theta - a**theta) / gamma_fn(theta + 1.0)
-
-
-def sample_mlp(params, window, trunc_tol=1e-10, rng=None):
-    """One draw of the mass-windowed multiplicative Lebesgue law: an
-    independent pair (windowed lambda_theta mass, DF shape), importance
-    weight 1; the batch represents the restriction up to the window mass
-    lambda_theta([a, b])."""
-    if rng is None:
-        rng = np.random.default_rng()
-    mass = sample_lambda_window(params.theta, window, rng)
-    shape = sample_df(params, params.theta, trunc_tol, rng)
-    return DiscreteMeasure(shape.points, mass * shape.weights, dim=params.dim), 1.0
-
-
-def sample_gamma_measure(params, trunc_tol=1e-10, rng=None):
-    """Gamma random measure sample: total mass ~ Gamma(theta, 1) independent
-    of the DF(theta) simplicial part."""
-    if rng is None:
-        rng = np.random.default_rng()
-    mass = rng.gamma(params.theta, 1.0)
-    shape = sample_df(params, params.theta, trunc_tol, rng)
-    return DiscreteMeasure(shape.points, mass * shape.weights, dim=params.dim)
+    return max(8, int(np.ceil(-np.log(trunc_tol) * max(beta, 1.0))) + 16)
 
 
 def _stick_matrix(beta, n, trunc_tol, rng):
     """Vectorized stick weights (n, K+1) with per-row residual below
-    trunc_tol, topped up column-by-column where needed."""
-    k = max(8, int(np.ceil(-np.log(trunc_tol) * max(beta, 1.0))) + 16)
+    trunc_tol, topped up column-by-column where needed; rows that stop early
+    are padded with zeros, and the last column holds each row's residual."""
+    k = _truncation_level(beta, trunc_tol)
     v = rng.beta(1.0, beta, size=(n, k))
     log_resid = np.cumsum(np.log1p(-v), axis=1)
     cols = [v * np.exp(np.concatenate([np.zeros((n, 1)), log_resid[:, :-1]], axis=1))]
@@ -191,16 +229,82 @@ def _stick_matrix(beta, n, trunc_tol, rng):
     return q
 
 
+def _shapes(params, beta, n, trunc_tol, rng, draw_masses=None):
+    """n measures mass_i * (stick-breaking DF(beta) shape) and their masses.
+
+    Draw order: the masses (draw_masses(n), default all 1), the stick
+    matrix, then all n * K atoms in one base_sampler call.  The memory check
+    comes first, before anything is allocated."""
+    k = _truncation_level(beta, trunc_tol)
+    _ensure_fits(n * (k + 1) * (params.dim + 1), f"a batch of {n} random measures")
+    masses = np.ones(n) if draw_masses is None else draw_masses(n)
+    q = _stick_matrix(beta, n, trunc_tol, rng)
+    x = params.base_sampler(rng, q.size).reshape(q.shape + (params.dim,))
+    return MeasureBatch(x, masses[:, None] * q), masses
+
+
+def stick_weights(beta, trunc_tol, rng):
+    """Stick-breaking weights with Beta(1, beta) sticks, truncated once the
+    residual stick mass is below trunc_tol; the residual is returned as the
+    final entry so the weights sum to one.  One row of the stick matrix."""
+    return _stick_matrix(beta, 1, trunc_tol, rng)[0]
+
+
+def df_batch(params, beta, n, rng=None, trunc_tol=1e-10):
+    """n Dirichlet-Ferguson samples via stick-breaking, as a MeasureBatch of
+    purely atomic random probability measures with atoms drawn iid from nu."""
+    return _shapes(params, beta, n, trunc_tol, np.random.default_rng(rng))[0]
+
+
+def sample_df(params, beta, trunc_tol=1e-10, rng=None):
+    """One Dirichlet-Ferguson sample: the n = 1 row of df_batch."""
+    return df_batch(params, beta, 1, rng, trunc_tol)[0]
+
+
+def _window_masses(theta, window, rng, n):
+    """Masses with density t^{theta-1} restricted and normalized to [a, b],
+    by the inverse CDF t = (a^theta + U (b^theta - a^theta))^{1/theta}."""
+    a, b = window
+    if not (0 <= a < b):
+        raise ValueError("window must satisfy 0 <= a < b")
+    u = rng.uniform(0, 1, n)
+    return (a**theta + u * (b**theta - a**theta)) ** (1.0 / theta)
+
+
+def sample_lambda_window(theta, window, rng):
+    """One mass with density t^{theta-1} restricted and normalized to [a, b]."""
+    return float(_window_masses(theta, window, rng, 1)[0])
+
+
+def lambda_window_mass(theta, window):
+    """lambda_theta([a, b]) = (b^theta - a^theta) / Gamma(theta + 1)."""
+    a, b = window
+    return (b**theta - a**theta) / gamma_fn(theta + 1.0)
+
+
+def _gamma_shapes(params, beta, n, trunc_tol, rng):
+    return _shapes(params, beta, n, trunc_tol, rng, lambda k: rng.gamma(params.theta, 1.0, k))
+
+
+def sample_mlp(params, window, trunc_tol=1e-10, rng=None):
+    """One draw of the mass-windowed multiplicative Lebesgue law: an
+    independent pair (windowed lambda_theta mass, DF shape), importance
+    weight 1; the n = 1 row of mlp_window_batch."""
+    return mlp_window_batch(params, window, 1, rng, trunc_tol).measures[0], 1.0
+
+
+def sample_gamma_measure(params, trunc_tol=1e-10, rng=None):
+    """Gamma random measure sample: total mass ~ Gamma(theta, 1) independent
+    of the DF(theta) simplicial part; the n = 1 row of gamma_batch."""
+    return gamma_batch(params, 1, rng, trunc_tol).measures[0]
+
+
 def gamma_batch(params, n, seed, trunc_tol=1e-10):
     """Batch of Gamma-measure samples with importance weights e^{mass},
-    representing the sigma-finite multiplicative Lebesgue law."""
+    representing the sigma-finite multiplicative Lebesgue law; seed is a
+    seed or a numpy Generator."""
     rng = np.random.default_rng(seed)
-    masses = rng.gamma(params.theta, 1.0, size=n)
-    q = _stick_matrix(params.theta, n, trunc_tol, rng)
-    xs = params.base_sampler(rng, n * q.shape[1]).reshape(n, q.shape[1], params.dim)
-    measures = [
-        DiscreteMeasure(xs[i], masses[i] * q[i], dim=params.dim) for i in range(n)
-    ]
+    measures, masses = _gamma_shapes(params, params.theta, n, trunc_tol, rng)
     return SampleBatch(
         measures,
         np.exp(np.minimum(masses, 700.0)),
@@ -210,20 +314,12 @@ def gamma_batch(params, n, seed, trunc_tol=1e-10):
 
 def mlp_window_batch(params, window, n, seed, trunc_tol=1e-10):
     """Batch from the mass-windowed multiplicative Lebesgue law (unit
-    importance weights; the window normalization is lambda_theta([a, b]))."""
+    importance weights; the window normalization is lambda_theta([a, b]));
+    seed is a seed or a numpy Generator."""
     rng = np.random.default_rng(seed)
-    a, b = window
-    if not (0 <= a < b):
-        raise ValueError("window must satisfy 0 <= a < b")
-    u = rng.uniform(0, 1, n)
-    masses = (a**params.theta + u * (b**params.theta - a**params.theta)) ** (1.0 / params.theta)
-    q = _stick_matrix(params.theta, n, trunc_tol, rng)
-    xs = params.base_sampler(rng, n * q.shape[1]).reshape(n, q.shape[1], params.dim)
-    measures = [
-        DiscreteMeasure(xs[i], masses[i] * q[i], dim=params.dim) for i in range(n)
-    ]
+    draw = lambda k: _window_masses(params.theta, window, rng, k)
     return SampleBatch(
-        measures,
+        _shapes(params, params.theta, n, trunc_tol, rng, draw)[0],
         np.ones(n),
         {"law": "mlp-window", "seed": seed, "window": tuple(window), "theta": params.theta},
     )
@@ -234,34 +330,37 @@ def _mean_se(values):
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(len(values)))
 
 
+def _compare(name, lhs, rhs, t0):
+    """CheckReport of the per-sample values of both sides, timed from t0."""
+    (ml, sl), (mr, sr) = _mean_se(lhs), _mean_se(rhs)
+    return CheckReport(name, ml, mr, sl, sr, len(lhs), time.perf_counter() - t0)
+
+
 def mecke_check_df(F, beta, params, n=10_000, rng=None, trunc_tol=1e-10, name="mecke-df"):
     """Both sides of the Dirichlet-Ferguson Mecke identity for a bounded F.
 
     lhs: mean over DF samples eta of  sum_j q_j F(eta, x_j, q_j)
     rhs: mean over independent (eta, x ~ nu, t ~ Beta(1, beta)) of
          F((1-t) eta + t delta_x, x, t)
-    F is vectorized over atoms: F(measure, points (m, d), sticks (m,)) -> (m,).
+    F is vectorized over the flattened atoms of a whole batch:
+    F(batch, points (m, d), sticks (m,)) -> (m,), where batch is a
+    MeasureBatch.  On the lhs the atoms are the batch's positive-weight
+    atoms, with measure ids batch.rows; on the rhs there is one atom per
+    measure, the added atom x of measure i in row i.  Zero-weight padding
+    never reaches F.
     """
-    if rng is None:
-        rng = np.random.default_rng()
-    lhs = np.empty(n)
-    for i in range(n):
-        eta = sample_df(params, beta, trunc_tol, rng)
-        lhs[i] = float(np.sum(eta.weights * F(eta, eta.points, eta.weights)))
-    rhs = np.empty(n)
-    for i in range(n):
-        eta = sample_df(params, beta, trunc_tol, rng)
-        x = params.base_sampler(rng, 1)
-        t = rng.beta(1.0, beta)
-        perturbed = DiscreteMeasure(
-            np.concatenate([eta.points, x], axis=0),
-            np.concatenate([(1.0 - t) * eta.weights, [t]]),
-            dim=params.dim,
-        )
-        rhs[i] = float(F(perturbed, x, np.array([t]))[0])
-    ml, sl = _mean_se(lhs)
-    mr, sr = _mean_se(rhs)
-    return CheckReport(name, ml, mr, sl, sr, n)
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(rng)
+    eta = df_batch(params, beta, n, rng, trunc_tol)
+    lhs = eta.row_sums(eta.atom_weights * F(eta, eta.atom_points, eta.atom_weights))
+    eta = df_batch(params, beta, n, rng, trunc_tol)
+    x = params.base_sampler(rng, n)
+    t = rng.beta(1.0, beta, n)
+    perturbed = MeasureBatch(
+        np.concatenate([eta.points, x[:, None]], axis=1),
+        np.concatenate([(1.0 - t)[:, None] * eta.weights, t[:, None]], axis=1),
+    )
+    return _compare(name, lhs, F(perturbed, x, t), t0)
 
 
 def mecke_check_mlp(
@@ -282,13 +381,15 @@ def mecke_check_mlp(
       lhs = E_G[ e^{-mass} sum_j w_j h(w_j, x_j) ]
       rhs = theta * E_G[ e^{-mass} ] * int nu(dx) int_0^S e^{-2s} h(s, x) ds
     with the s-integral by fixed Gauss-Legendre quadrature and the nu-integral
-    by an independent draw per sample.  h is vectorized: h(s (m,), x (m, d)).
+    by an independent draw per sample.  h is vectorized over the flattened
+    atoms of the whole batch: h(s (m,), x (m, d)) -> (m,); zero-weight
+    padding never reaches it.
 
     beta_sticks overrides the simplicial stick concentration (default theta);
     the identity holds only for the theta convention.
     """
-    if rng is None:
-        rng = np.random.default_rng()
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(rng)
     theta = params.theta
     if beta_sticks is None:
         beta_sticks = theta
@@ -296,23 +397,15 @@ def mecke_check_mlp(
     s_nodes = 0.5 * s_cap * (nodes + 1.0)
     s_weights = 0.5 * s_cap * weights
 
-    lhs = np.empty(n)
-    rhs = np.empty(n)
-    for i in range(n):
-        mass = rng.gamma(theta, 1.0)
-        q = stick_weights(beta_sticks, trunc_tol, rng)
-        x = params.base_sampler(rng, len(q))
-        w = mass * q
-        lhs[i] = np.exp(-mass) * float(np.sum(w * h(w, x)))
-    for i in range(n):
-        mass = rng.gamma(theta, 1.0)
-        x = params.base_sampler(rng, 1)
-        xs = np.repeat(x, quad_order, axis=0)
-        inner = float(np.sum(s_weights * np.exp(-2.0 * s_nodes) * h(s_nodes, xs)))
-        rhs[i] = theta * np.exp(-mass) * inner
-    ml, sl = _mean_se(lhs)
-    mr, sr = _mean_se(rhs)
-    return CheckReport(name, ml, mr, sl, sr, n)
+    mu, masses = _gamma_shapes(params, beta_sticks, n, trunc_tol, rng)
+    w = mu.atom_weights
+    lhs = np.exp(-masses) * mu.row_sums(w * h(w, mu.atom_points))
+    _ensure_fits(n * quad_order * (params.dim + 1), f"{n} quadrature rules of {quad_order} nodes")
+    masses = rng.gamma(theta, 1.0, n)
+    x = params.base_sampler(rng, n)
+    vals = np.reshape(h(np.tile(s_nodes, n), np.repeat(x, quad_order, axis=0)), (n, quad_order))
+    rhs = theta * np.exp(-masses) * (vals @ (s_weights * np.exp(-2.0 * s_nodes)))
+    return _compare(name, lhs, rhs, t0)
 
 
 def invariance_checks(params, n=10_000, r_support=2.0, multiplier_slope=0.4, tau=None, seed=0):
@@ -338,13 +431,11 @@ def invariance_checks(params, n=10_000, r_support=2.0, multiplier_slope=0.4, tau
     rhs = c**theta * lambda_window_mass(theta, (0.0, r))
     reports["homogeneity"] = CheckReport("homogeneity", lhs, rhs, 0.0, 0.0, 0)
 
-    # (b) multiplier tests
-    def u(measure):
-        m = measure.mass
-        if m >= r_support:
-            return 0.0
-        window = np.exp(-1.0 / (1.0 - (m / r_support) ** 2))
-        return window * np.exp(-m)
+    # (b) multiplier tests: u depends on the measure through its mass only
+    def u(m):
+        inside = m < r_support
+        z = np.where(inside, m / r_support, 0.0)
+        return np.where(inside, np.exp(-1.0 / (1.0 - z * z)) * np.exp(-m), 0.0)
 
     dim = params.dim
     cases = {
@@ -355,28 +446,22 @@ def invariance_checks(params, n=10_000, r_support=2.0, multiplier_slope=0.4, tau
         ),
     }
     for label, (a_fn, trace) in cases.items():
-        lhs_vals = np.empty(n)
-        rhs_vals = np.empty(n)
-        for i in range(n):
-            mass = rng.gamma(theta, 1.0)
-            q = stick_weights(theta, 1e-10, rng)
-            x = params.base_sampler(rng, len(q))
-            w = mass * q
-            mu = DiscreteMeasure(x, w, dim=dim)
-            k_mu = DiscreteMeasure(x, np.exp(a_fn(x)) * w, dim=dim)
-            # weights e^{mass} are bounded on the support of the integrands
-            lhs_vals[i] = np.exp(min(mass, 700.0)) * u(k_mu)
-            rhs_vals[i] = np.exp(-theta * trace) * np.exp(min(mass, 700.0)) * u(mu)
-        ml, sl = _mean_se(lhs_vals)
-        mr, sr = _mean_se(rhs_vals)
-        reports[label] = CheckReport(label, ml, mr, sl, sr, n)
+        t0 = time.perf_counter()
+        mu, masses = _gamma_shapes(params, theta, n, 1e-10, rng)
+        k_masses = mu.row_sums(np.exp(a_fn(mu.atom_points)) * mu.atom_weights)
+        # weights e^{mass} are bounded on the support of the integrands
+        damp = np.exp(np.minimum(masses, 700.0))
+        lhs_vals = damp * u(k_masses)
+        rhs_vals = np.exp(-theta * trace) * damp * u(mu.masses)
+        reports[label] = _compare(label, lhs_vals, rhs_vals, t0)
 
     # (c) damped convolution moment
+    t0 = time.perf_counter()
     m1 = rng.gamma(theta, 1.0, size=n)
     m2 = rng.gamma(tau, 1.0, size=n)
     ml, sl = _mean_se(np.exp(-(m1 + m2)))
     reports["convolution"] = CheckReport(
-        "convolution", ml, 2.0 ** (-(theta + tau)), sl, 0.0, n
+        "convolution", ml, 2.0 ** (-(theta + tau)), sl, 0.0, n, time.perf_counter() - t0
     )
     return reports
 
@@ -390,18 +475,14 @@ def estimate_intensity(batch):
     n = len(batch)
     if n == 0:
         raise ValueError("empty batch")
-    masses = np.array([m.mass for m in batch.measures])
+    mu = batch.measures
+    masses = mu.masses
     integrand = batch.weights * masses * np.exp(-masses)
     theta_hat, theta_se = _mean_se(integrand)
     if np.all(masses == 0.0):
         return {"theta_hat": 0.0, "theta_se": 0.0, "nu_first_moment": None, "degenerate": True}
-    dim = batch.measures[0].dim
-    firsts = np.array(
-        [
-            w * np.exp(-m.mass) * (m.weights @ m.points if len(m) else np.zeros(dim))
-            for w, m in zip(batch.weights, batch.measures)
-        ]
-    )
+    moments = mu.row_sums(mu.atom_weights[:, None] * mu.atom_points)
+    firsts = (batch.weights * np.exp(-masses))[:, None] * moments
     nu_first = firsts.mean(axis=0) / theta_hat
     nu_first_se = firsts.std(axis=0, ddof=1) / np.sqrt(n) / abs(theta_hat)
     return {

@@ -139,6 +139,20 @@ class TestValidate:
         out = tmp_path / "l.json"
         assert main(["validate", "limits", "--n", "8", "--seed", "2", "--out", str(out)]) == 0
 
+    def test_checks_report_timing(self, tmp_path):
+        out = tmp_path / "m.json"
+        assert main(["validate", "mecke-mlp", "--n", "50", "--seed", "2", "--out", str(out)]) == 0
+        for check in json.loads(out.read_text())["checks"]:
+            assert check["runtime_s"] > 0 and check["per_sample_us"] > 0
+
+    def test_batch_too_big_for_memory_exits_one(self, monkeypatch, capsys):
+        import hkgeo.randmeas as rm
+
+        monkeypatch.setattr(rm, "_available_bytes", lambda: 2**30)
+        assert main(["validate", "mecke-df", "--n", "100000000", "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "bytes" in err and "memory" in err
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
             main(["validate", "nonsense", "--seed", "1"])
@@ -182,6 +196,40 @@ class TestConfigFile:
         # explicit flag beats the config value
         code = main(["dist", pa, pb, "--config", str(cfg), "--metric", "he", "--out", str(out)])
         assert json.loads(out.read_text())["metric"] == "he"
+
+    def test_validate_n_from_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 7\n")
+        out = tmp_path / "v.json"
+        assert main(["validate", "mecke-df", "--seed", "1", "--config", str(cfg), "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["config"]["n"] == 7 and rep["checks"][0]["n"] == 7
+        # an explicit flag wins even when it equals the default
+        assert main(["validate", "mecke-df", "--seed", "1", "--n", "20", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["checks"][0]["n"] == 20
+
+    def test_validate_tol_from_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol = 1e-7\nn = 1\n")
+        out = tmp_path / "v.json"
+        assert main(["validate", "duality", "--seed", "7", "--config", str(cfg), "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["config"]["tol"] == 1e-7
+        assert all(c["tol"] == 1e-7 for c in rep["checks"])
+        # without the config each subcommand keeps its own default
+        assert main(["validate", "duality", "--seed", "7", "--n", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["tol"] == 1e-6
+
+    def test_potentials_tol_from_config(self, tmp_path):
+        pm = tmp_path / "m.json"
+        pm.write_text(json.dumps(measure_to_json(DiscreteMeasure([[0.3]], [0.8]))))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol = 0.01\nspacing = 0.02\n")
+        prefix = str(tmp_path / "pot")
+        assert main(["potentials", str(pm), "--config", str(cfg), "--out", prefix]) == 0
+        rep = json.loads((tmp_path / "pot.report.json").read_text())
+        assert rep["config"]["tol"] == 0.01 and rep["config"]["spacing"] == 0.02
 
     def test_malformed_config(self, tmp_path, measure_files, capsys):
         pa, pb = measure_files

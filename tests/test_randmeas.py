@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 from math import gamma as gamma_fn
 
+from hkgeo import cylinders as cyl
+from hkgeo import randmeas
 from hkgeo.measures import DiscreteMeasure, pushforward
 from hkgeo.randmeas import (
     CheckReport,
     IntensityParams,
+    SampleBatch,
+    df_batch,
     estimate_intensity,
     gamma_batch,
     invariance_checks,
@@ -290,3 +294,137 @@ class TestAtomDistinctness:
         eta = sample_df(params, 2.0, 1e-10, np.random.default_rng(5))
         assert len(eta) == len(q)
         assert np.all(eta.weights > 0)
+
+
+def _gradient_reference(u, points, weights):
+    """The per-measure gradient loop that the batched gradient replaced."""
+    hor = np.zeros(points.shape)
+    ver = np.zeros(len(weights))
+    args = np.array([np.sum(k.values(weights, points) * weights) for k in u.kernels])
+    fval = u.outer.value(args)
+    chi = u.cutoff(weights.sum()) if u.cutoff is not None else 1.0
+    for i, kern in enumerate(u.kernels):
+        di = u.outer.partials[i](args)
+        if di == 0.0:
+            continue
+        hor += chi * di * kern.gradients(weights, points)
+        ver += chi * di * (
+            kern.values(weights, points) + weights * kern.mass_derivative(weights, points)
+        )
+    if u.cutoff is not None:
+        ver += u.cutoff_prime(weights.sum()) * fval
+    return hor, ver
+
+
+def _refuse_zero(values):
+    values = np.asarray(values)
+    if np.any(values == 0.0):
+        raise AssertionError("a zero-weight padding atom reached a user callable")
+    return values
+
+
+class TestMeasureBatch:
+    @pytest.fixture
+    def padded(self, params):
+        # rows whose residual fell below the tolerance early are zero-padded
+        batch = gamma_batch(params, 50, seed=30).measures
+        assert np.any(batch.weights == 0.0)
+        return batch
+
+    @pytest.mark.parametrize(
+        "u",
+        [
+            cyl.parse_cylinder("poly:0.2,1,-0.7 | gauss(0.1,-0.2,0.8)"),
+            cyl.parse_cylinder("tanh_sum | mass; coord(1); bump(0,0,1.5)"),
+            cyl.CylinderFunction(
+                cyl.OuterFunction(lambda a: 0.3 + a[0] * a[1], [lambda a: a[1], lambda a: a[0]], 2),
+                [cyl.gauss_kernel([0.2, 0.0], 0.9), cyl.mass_kernel_extended()],
+                cutoff=lambda m: float(cyl.truncation_profile(m / 2.0)),
+                cutoff_prime=lambda m: float(cyl.truncation_profile_prime(m / 2.0)) / 2.0,
+            ),
+        ],
+        ids=["plain", "mass-extended", "mass-cutoff"],
+    )
+    def test_gradient_matches_per_measure_loop(self, padded, u):
+        hor, ver = cyl.gradient(u, padded)
+        assert hor.shape == padded.atom_points.shape and ver.shape == padded.atom_weights.shape
+        for i in range(len(padded)):
+            atoms = padded.rows == i
+            ref_hor, ref_ver = _gradient_reference(u, padded.atom_points[atoms], padded.atom_weights[atoms])
+            np.testing.assert_allclose(hor[atoms], ref_hor, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ver[atoms], ref_ver, rtol=0, atol=1e-12)
+        # a single measure is the one-row case, aligned with its own atoms
+        mu = padded[3]
+        ref_hor, ref_ver = _gradient_reference(u, mu.points, mu.weights)
+        one_hor, one_ver = cyl.gradient(u, mu)
+        np.testing.assert_allclose(one_hor, ref_hor, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(one_ver, ref_ver, rtol=0, atol=1e-12)
+
+    def test_padding_never_reaches_user_code(self, params, padded):
+        rep = mecke_check_df(
+            lambda eta, x, t: _refuse_zero(t), 2.0, params, n=3000, rng=np.random.default_rng(31)
+        )
+        assert np.any(df_batch(params, 2.0, 3000, np.random.default_rng(31)).weights == 0.0)
+        assert rep.n == 3000
+        mecke_check_mlp(lambda s, x: _refuse_zero(s), params, n=3000, rng=np.random.default_rng(32))
+        guarded = cyl.ScalarField(
+            lambda s, p: _refuse_zero(s) * 0.0 + 1.0,
+            lambda s, p: np.zeros((len(s), 2)),
+            ds=lambda s, p: _refuse_zero(s) * 0.0,
+            kind="extended",
+        )
+        u = cyl.CylinderFunction(cyl.sum_outer(1), [guarded])
+        hor, ver = cyl.gradient(u, padded)
+        assert np.all(ver == 1.0) and not hor.any()
+
+    def test_list_and_sampler_arrays_agree(self, params):
+        batch = gamma_batch(params, 500, seed=33)
+        packed = SampleBatch(list(batch.measures), batch.weights, {"law": "packed"})
+        a, b = estimate_intensity(batch), estimate_intensity(packed)
+        for key in ("theta_hat", "theta_se"):
+            assert b[key] == pytest.approx(a[key], rel=1e-12)
+        for key in ("nu_first_moment", "nu_first_moment_se"):
+            np.testing.assert_allclose(b[key], a[key], rtol=1e-12, atol=1e-15)
+
+    def test_stick_matrix_rows_sum_to_one(self):
+        q = randmeas._stick_matrix(1.5, 5000, 1e-8, np.random.default_rng(34))
+        assert np.max(np.abs(q.sum(axis=1) - 1.0)) <= 1e-15
+        assert np.all(q[:, -1] < 1e-8)
+
+    def test_iteration_and_indexing_yield_measures(self, padded):
+        measures = list(padded)
+        assert len(measures) == len(padded) == 50
+        assert all(isinstance(m, DiscreteMeasure) for m in measures)
+        assert measures[7].allclose(padded[7])
+        np.testing.assert_allclose([m.mass for m in measures], padded.masses, rtol=1e-14)
+
+
+class TestMemoryGuard:
+    def test_refuses_before_allocating(self, params, monkeypatch):
+        monkeypatch.setattr(randmeas, "_available_bytes", lambda: 1_000_000)
+        drawn = []
+        monkeypatch.setattr(params, "base_sampler", lambda rng, n: drawn.append(n))
+        with pytest.raises(ValueError, match="bytes"):
+            gamma_batch(params, 10_000, seed=0)
+        with pytest.raises(ValueError, match="bytes"):
+            mecke_check_df(lambda eta, x, t: t, 1.0, params, n=10_000, rng=np.random.default_rng(0))
+        assert drawn == []
+        # a batch that fits is drawn as before
+        monkeypatch.setattr(randmeas, "_available_bytes", lambda: 10**9)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="bytes"):
+            randmeas.df_batch(params, 1.0, 10**12, rng)
+        assert rng.bit_generator.state == before
+
+
+class TestCheckReportTiming:
+    def test_runtime_and_per_sample_positive(self, params):
+        rep = mecke_check_df(lambda eta, x, t: t, 1.0, params, n=200, rng=np.random.default_rng(35))
+        assert rep.runtime_s > 0 and rep.per_sample_us > 0
+        assert rep.per_sample_us == pytest.approx(1e6 * rep.runtime_s / 200)
+        d = rep.as_dict()
+        assert d["runtime_s"] == rep.runtime_s and d["per_sample_us"] == rep.per_sample_us
+        for name, r in invariance_checks(params, n=200, seed=36).items():
+            # the analytic homogeneity check draws no samples (n = 0)
+            assert (r.runtime_s > 0) == (r.per_sample_us > 0) == (r.n > 0), name
