@@ -1,10 +1,7 @@
-"""Hot numeric kernels, numba-jitted with a pure-numpy fallback.
+"""Hot numeric kernels, one vectorised numpy implementation each.
 
-Set ``HKGEO_NO_NUMBA=1`` to force the numpy path (also taken automatically
-when numba is unavailable).  ``benchmarks/bench_kernels.py`` compares both.
+``benchmarks/bench_kernels.py`` times them at fixed shapes.
 """
-
-import os
 
 import numpy as np
 
@@ -17,14 +14,10 @@ __all__ = [
     "stamp_kernel",
 ]
 
-_WANT_NUMBA = os.environ.get("HKGEO_NO_NUMBA", "0") not in ("1", "true", "yes")
+BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy reference implementations
-# ---------------------------------------------------------------------------
-
-def _scaling_sweep_np(f, g, logw0, logw1, cost, eps, n_iter, tol):
+def scaling_sweep(f, g, logw0, logw1, cost, eps, n_iter, tol):
     """Log-domain scaling updates for the KL-penalized entropy-transport problem.
 
     Updates the scaled dual potentials in place:
@@ -54,7 +47,7 @@ def _scaling_sweep_np(f, g, logw0, logw1, cost, eps, n_iter, tol):
     return it, delta
 
 
-def _euler_besq_paths_np(x0, theta, dt, normals):
+def euler_besq_paths(x0, theta, dt, normals):
     """Full-truncation Euler for dx = sqrt(2 x^+) dW + theta dt.
 
     normals: (n_paths, n_steps) standard normals.  Returns the path matrix
@@ -73,7 +66,7 @@ def _euler_besq_paths_np(x0, theta, dt, normals):
     return x, clipped / float(n_paths * n_steps)
 
 
-def _euler_besq_exit_np(x0, theta, a, b, dt, normals):
+def euler_besq_exit(x0, theta, a, b, dt, normals):
     """Run Euler paths from per-path states until exit from (a, b); returns
     (labels, final states): label +1 where b is hit first, 0 where a is hit
     first, -1 where the step budget ran out."""
@@ -98,176 +91,17 @@ def _euler_besq_exit_np(x0, theta, a, b, dt, normals):
     return out, x
 
 
-def _maxplus_transform_np(xs, ys, psi):
+def maxplus_transform(xs, ys, psi):
     """phi(x) = max_y (x * y - psi(y)) along one axis (1-D grids)."""
     return np.max(xs[:, None] * ys[None, :] - psi[None, :], axis=1)
 
 
-def _stamp_kernel_np(idx, w, patch, grid, strides):
+def stamp_kernel(idx, w, patch, grid, strides):
     """Scatter-add: grid[flat + offsets] += w_i * patch for each atom index.
 
     idx: (n,) flat center indices into the padded grid; patch: flattened
-    kernel weights at precomputed flat offsets ``strides``.
+    kernel weights at precomputed flat offsets ``strides``.  Overlapping
+    patches accumulate, in atom order.
     """
-    for i in range(idx.shape[0]):
-        grid[idx[i] + strides] += w[i] * patch
+    np.add.at(grid, (idx[:, None] + strides).ravel(), (w[:, None] * patch).ravel())
     return grid
-
-
-# ---------------------------------------------------------------------------
-# numba versions
-# ---------------------------------------------------------------------------
-
-if _WANT_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        _WANT_NUMBA = False
-
-if _WANT_NUMBA:
-
-    @njit(cache=True, fastmath=True)
-    def _scaling_sweep_nb(f, g, logw0, logw1, cost, eps, n_iter, tol):
-        n0 = f.shape[0]
-        n1 = g.shape[0]
-        lam = 1.0 / (1.0 + eps)
-        delta = np.inf
-        it = 0
-        f_new = np.empty(n0)
-        g_new = np.empty(n1)
-        while it < n_iter and delta > tol:
-            for i in range(n0):
-                m = -np.inf
-                for j in range(n1):
-                    v = (g[j] - cost[i, j]) / eps
-                    if v > m:
-                        m = v
-                if m == -np.inf:
-                    m = 0.0
-                s = 0.0
-                for j in range(n1):
-                    v = (g[j] - cost[i, j]) / eps
-                    if v > -np.inf:
-                        s += np.exp(v - m)
-                f_new[i] = lam * eps * (logw0[i] - (m + np.log(s)))
-            for j in range(n1):
-                m = -np.inf
-                for i in range(n0):
-                    v = (f_new[i] - cost[i, j]) / eps
-                    if v > m:
-                        m = v
-                if m == -np.inf:
-                    m = 0.0
-                s = 0.0
-                for i in range(n0):
-                    v = (f_new[i] - cost[i, j]) / eps
-                    if v > -np.inf:
-                        s += np.exp(v - m)
-                g_new[j] = lam * eps * (logw1[j] - (m + np.log(s)))
-            delta = 0.0
-            for i in range(n0):
-                d = abs(f_new[i] - f[i])
-                if d > delta:
-                    delta = d
-                f[i] = f_new[i]
-            for j in range(n1):
-                d = abs(g_new[j] - g[j])
-                if d > delta:
-                    delta = d
-                g[j] = g_new[j]
-            it += 1
-        return it, delta
-
-    @njit(cache=True)
-    def _euler_besq_paths_nb(x0, theta, dt, normals):
-        n_paths, n_steps = normals.shape
-        x = np.empty((n_paths, n_steps + 1))
-        sq = np.sqrt(dt)
-        clipped = 0
-        for p in range(n_paths):
-            x[p, 0] = x0
-            for n in range(n_steps):
-                xn = x[p, n]
-                r = xn if xn > 0.0 else 0.0
-                step = xn + np.sqrt(2.0 * r) * sq * normals[p, n] + theta * dt
-                if step < 0.0:
-                    clipped += 1
-                    step = 0.0
-                x[p, n + 1] = step
-        return x, clipped / float(n_paths * n_steps)
-
-    @njit(cache=True)
-    def _euler_besq_exit_nb(x0, theta, a, b, dt, normals):
-        n_paths, n_steps = normals.shape
-        out = np.full(n_paths, -1, dtype=np.int64)
-        x_final = np.empty(n_paths)
-        sq = np.sqrt(dt)
-        for p in range(n_paths):
-            xv = x0[p]
-            for n in range(n_steps):
-                r = xv if xv > 0.0 else 0.0
-                xv = xv + np.sqrt(2.0 * r) * sq * normals[p, n] + theta * dt
-                if xv < 0.0:
-                    xv = 0.0
-                if xv <= a:
-                    out[p] = 0
-                    break
-                if xv >= b:
-                    out[p] = 1
-                    break
-            x_final[p] = xv
-        return out, x_final
-
-    @njit(cache=True)
-    def _maxplus_transform_nb(xs, ys, psi):
-        n = xs.shape[0]
-        m = ys.shape[0]
-        out = np.empty(n)
-        for i in range(n):
-            best = -np.inf
-            for j in range(m):
-                v = xs[i] * ys[j] - psi[j]
-                if v > best:
-                    best = v
-            out[i] = best
-        return out
-
-    @njit(cache=True)
-    def _stamp_kernel_nb(idx, w, patch, grid, strides):
-        for i in range(idx.shape[0]):
-            base = idx[i]
-            wi = w[i]
-            for k in range(strides.shape[0]):
-                grid[base + strides[k]] += wi * patch[k]
-        return grid
-
-    BACKEND = "numba"
-    scaling_sweep = _scaling_sweep_nb
-    euler_besq_paths = _euler_besq_paths_nb
-    euler_besq_exit = _euler_besq_exit_nb
-    maxplus_transform = _maxplus_transform_nb
-    stamp_kernel = _stamp_kernel_nb
-else:
-    BACKEND = "numpy"
-    scaling_sweep = _scaling_sweep_np
-    euler_besq_paths = _euler_besq_paths_np
-    euler_besq_exit = _euler_besq_exit_np
-    maxplus_transform = _maxplus_transform_np
-    stamp_kernel = _stamp_kernel_np
-
-
-# both backends exposed for cross-checks and benchmarking
-numpy_impls = {
-    "scaling_sweep": _scaling_sweep_np,
-    "euler_besq_paths": _euler_besq_paths_np,
-    "euler_besq_exit": _euler_besq_exit_np,
-    "maxplus_transform": _maxplus_transform_np,
-    "stamp_kernel": _stamp_kernel_np,
-}
-active_impls = {
-    "scaling_sweep": scaling_sweep,
-    "euler_besq_paths": euler_besq_paths,
-    "euler_besq_exit": euler_besq_exit,
-    "maxplus_transform": maxplus_transform,
-    "stamp_kernel": stamp_kernel,
-}

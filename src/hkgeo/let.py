@@ -92,13 +92,6 @@ def _entropy_term(sigma, w):
     return float(np.sum(out * w))
 
 
-def _primal_value(gamma, w0, w1, cost):
-    sigma0 = gamma.sum(axis=1) / w0 if gamma.shape[1] else np.zeros(len(w0))
-    sigma1 = gamma.sum(axis=0) / w1 if gamma.shape[0] else np.zeros(len(w1))
-    transport = float(np.sum(gamma * np.where(np.isfinite(cost), cost, 0.0)))
-    return _entropy_term(sigma0, w0) + _entropy_term(sigma1, w1) + transport
-
-
 def _project_duals(sigma0, sigma1, cost):
     """phi_i = -1/2 log sigma_i (+inf on killed atoms), with phi1 replaced by
     its half-cost transform so that phi0 (+) phi1 <= cost/2 holds exactly."""
@@ -123,6 +116,17 @@ def _dual_value(phi0, phi1, w0, w1):
         return float(np.sum(out * w))
 
     return term(phi0, w0) + term(phi1, w1)
+
+
+def _certificate(gamma, w0, w1, cost):
+    """Marginal densities, primal value, projected duals and dual value of
+    the unregularized problem at the plan gamma (the gap is primal - dual)."""
+    sigma0 = gamma.sum(axis=1) / w0
+    sigma1 = gamma.sum(axis=0) / w1
+    transport = float(np.sum(gamma * np.where(np.isfinite(cost), cost, 0.0)))
+    primal = _entropy_term(sigma0, w0) + _entropy_term(sigma1, w1) + transport
+    phi0, phi1 = _project_duals(sigma0, sigma1, cost)
+    return sigma0, sigma1, primal, phi0, phi1, _dual_value(phi0, phi1, w0, w1)
 
 
 def _seed_value(i, j, cost, w0, w1, row_exc, col_exc):
@@ -327,14 +331,7 @@ def _support_energy(g, ii, jj, c, w0, w1, n0, n1):
     s = np.zeros(n1)
     np.add.at(r, ii, g)
     np.add.at(s, jj, g)
-    val = float(np.sum(g * c))
-    for vec, w in ((r, w0), (s, w1)):
-        sig = vec / w
-        pos = sig > 0
-        t = np.ones_like(sig)
-        t[pos] = sig[pos] * np.log(sig[pos]) - sig[pos] + 1.0
-        val += float(np.sum(t * w))
-    return val
+    return float(np.sum(g * c)) + _entropy_term(r / w0, w0) + _entropy_term(s / w1, w1)
 
 
 DEFAULT_EPS_START = 1.0
@@ -357,15 +354,11 @@ def solve_let(problem, tol=1e-9, max_stage_iters=350):
     mu0, mu1, cost = problem.mu0, problem.mu1, problem.cost
     n0, n1 = len(mu0), len(mu1)
     w0, w1 = mu0.weights, mu1.weights
-
-    sigma0 = np.zeros(n0)
-    sigma1 = np.zeros(n1)
     plan = np.zeros((n0, n1))
 
     finite = np.isfinite(cost)
     live0 = finite.any(axis=1) if n1 > 0 else np.zeros(n0, dtype=bool)
     live1 = finite.any(axis=0) if n0 > 0 else np.zeros(n1, dtype=bool)
-    killed_mass = float(w0[~live0].sum() + w1[~live1].sum())
 
     iterations = 0
     eps = DEFAULT_EPS_FINAL
@@ -375,17 +368,6 @@ def solve_let(problem, tol=1e-9, max_stage_iters=350):
         logw0, logw1 = np.log(sw0), np.log(sw1)
         f = np.zeros(len(sw0))
         g = np.zeros(len(sw1))
-        gamma = None
-
-        def certify(gamma):
-            s0 = gamma.sum(axis=1) / sw0
-            s1 = gamma.sum(axis=0) / sw1
-            p = _entropy_term(s0, sw0) + _entropy_term(s1, sw1) + float(
-                np.sum(gamma * np.where(np.isfinite(sub_cost), sub_cost, 0.0))
-            )
-            ph0, ph1 = _project_duals(s0, s1, sub_cost)
-            d = _dual_value(ph0, ph1, sw0, sw1)
-            return p, d, p - d
 
         eps = DEFAULT_EPS_START
         best = None
@@ -403,7 +385,8 @@ def solve_let(problem, tol=1e-9, max_stage_iters=350):
                     )
                 gamma[~np.isfinite(sub_cost)] = 0.0
                 gamma = _newton_polish(gamma, sw0, sw1, sub_cost)
-                p, d, gap = certify(gamma)
+                _, _, p, _, _, d = _certificate(gamma, sw0, sw1, sub_cost)
+                gap = p - d
                 if gap < best_gap:
                     best = (gamma.copy(), eps)
                     best_gap = gap
@@ -414,12 +397,8 @@ def solve_let(problem, tol=1e-9, max_stage_iters=350):
             eps = max(eps * DEFAULT_EPS_FACTOR, EPS_FLOOR)
         gamma, eps = best
         plan[np.ix_(live0, live1)] = gamma
-        sigma0[live0] = gamma.sum(axis=1) / sw0
-        sigma1[live1] = gamma.sum(axis=0) / sw1
 
-    primal = _primal_value(plan, w0, w1, cost)
-    phi0, phi1 = _project_duals(sigma0, sigma1, cost)
-    dual = _dual_value(phi0, phi1, w0, w1)
+    sigma0, sigma1, primal, phi0, phi1, dual = _certificate(plan, w0, w1, cost)
     gap = primal - dual
     converged = gap <= tol * (1.0 + abs(primal)) + 1e-15
     return LetSolution(
@@ -450,11 +429,7 @@ def solve_let_exact_small(problem, n_newton=200):
     finite = np.isfinite(cost)
     gamma = np.where(finite, np.sqrt(np.outer(w0, w1)) * np.exp(-np.where(finite, cost, 0.0) / 2), 0.0)
     gamma = _newton_polish(gamma, w0, w1, cost, max_rounds=12, max_steps=n_newton)
-    sigma0 = gamma.sum(axis=1) / w0
-    sigma1 = gamma.sum(axis=0) / w1
-    primal = _primal_value(gamma, w0, w1, cost)
-    phi0, phi1 = _project_duals(sigma0, sigma1, cost)
-    dual = _dual_value(phi0, phi1, w0, w1)
+    sigma0, sigma1, primal, phi0, phi1, dual = _certificate(gamma, w0, w1, cost)
     return LetSolution(
         plan=gamma,
         sigma0=sigma0,

@@ -236,3 +236,49 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("metric hk\n")
         assert main(["dist", pa, pb, "--config", str(cfg)]) == 1
+
+
+class TestNumericalFailuresExitOne:
+    """Each RuntimeError raise site, reached through the CLI with its
+    dependency patched to fail, ends in ``error: ...`` and exit code 1."""
+
+    def test_w2_transport_lp_failure(self, tmp_path, monkeypatch, capsys):
+        import types
+
+        import hkgeo.measures as meas
+
+        monkeypatch.setattr(
+            meas, "linprog", lambda *a, **k: types.SimpleNamespace(success=False, message="stub infeasible")
+        )
+        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+        pa.write_text(json.dumps(measure_to_json(DiscreteMeasure([[0.0, 0.0]], [1.0]))))
+        pb.write_text(json.dumps(measure_to_json(DiscreteMeasure([[1.0, 0.0]], [1.0]))))
+        assert main(["dist", "--metric", "w2", str(pa), str(pb)]) == 1
+        assert capsys.readouterr().err.startswith("error: transport LP failed: stub infeasible")
+
+    def test_potentials_psi_grid_miss(self, tmp_path, monkeypatch, capsys):
+        import hkgeo.potentials as pot
+
+        monkeypatch.setattr(pot, "_match_points", lambda grid, pts: np.full(len(pts), -1))
+        pm = tmp_path / "m.json"
+        pm.write_text(json.dumps(measure_to_json(DiscreteMeasure([[0.3]], [0.8]))))
+        code = main(["potentials", str(pm), "--radius", "1.0", "--spacing", "0.02",
+                     "--eps", "0.4", "--out", str(tmp_path / "pot")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: psi grid does not cover")
+
+    def test_radial_iso_quadrature_failure(self, monkeypatch, capsys):
+        import hkgeo.bessel as bes
+
+        monkeypatch.setattr(bes, "quad", lambda *a, **k: (1.0, 1.0))
+        assert main(["validate", "radial-iso", "--n", "20", "--seed", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: quadrature did not reach relative 1e-8")
+
+    def test_bessel_0f1_series_failure(self, monkeypatch, capsys):
+        import functools
+
+        import hkgeo.bessel as bes
+
+        monkeypatch.setattr(bes, "hyp0f1", functools.partial(bes.hyp0f1, max_terms=1))
+        assert main(["validate", "bessel", "--n", "20", "--seed", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: 0F1 series did not converge")
