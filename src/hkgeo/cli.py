@@ -171,6 +171,7 @@ def _fill_let_report(report, sol, include_plan):
     report["phi1"] = sol.phi1
     report["iterations"] = sol.iterations
     report["epsilon_final"] = sol.epsilon_final
+    report["stats"] = sol.stats
     report["converged"] = sol.converged
     if include_plan:
         report["plan"] = sol.plan

@@ -1,17 +1,24 @@
 """Logarithmic entropy-transport solver on discrete supports.
 
 Solves  min_gamma  sum_i int F(sigma_i) dmu_i + int cost dgamma,
-F(s) = s log s - s + 1, by annealed log-domain scaling iterations followed
-by a damped-Newton polish of the unregularized convex primal on the active
-support.  Every solution carries a duality certificate (primal and dual
-values of the *unregularized* problem and their gap).
+F(s) = s log s - s + 1.  Its optimality system (Liero, Mielke, Savare,
+Invent. Math. 2018) is sigma0_i sigma1_j >= e^{-cost_ij}, with equality on
+the support of the plan, sigma = e^{-f} for dual potentials f, g.  The
+solver anneals eps = 1, 0.1, ..., 1e-7: at each stage damped Newton on the
+entropic dual finds the support, and a closed-form solve of the exact
+system on a maximum-mass spanning forest of it gives a candidate plan.
+Every solution carries a duality certificate (primal and dual values of
+the *unregularized* problem and their gap), and only the certificate
+decides when the loop stops.
 """
 
 import numpy as np
+from scipy.optimize import minimize
+from scipy.special import xlogy
 
 from . import _kernels
 from .cone import ConePoint, let_cost
-from .measures import DiscreteMeasure, cost_matrix_sq, hellinger_sq, wasserstein_sq, dilate
+from .measures import DiscreteMeasure, _ensure_fits, cost_matrix_sq, dilate, hellinger_sq, wasserstein_sq
 
 __all__ = [
     "LetProblem",
@@ -61,6 +68,7 @@ class LetSolution:
         "iterations",
         "epsilon_final",
         "converged",
+        "stats",
     )
 
     def __init__(self, **kw):
@@ -79,328 +87,256 @@ def let_problem(mu0, mu1, kind):
     """Build the LET problem for the GHK ('ghk') or HK ('hk') distance."""
     if mu0.dim != mu1.dim:
         raise ValueError("dimension mismatch")
-    d = np.sqrt(np.maximum(cost_matrix_sq(mu0, mu1), 0.0))
+    _ensure_let_fits(len(mu0), len(mu1))
+    d = np.sqrt(cost_matrix_sq(mu0, mu1))
     return LetProblem(mu0, mu1, let_cost(kind, d))
-
-
-def _entropy_term(sigma, w):
-    # sum w * (sigma log sigma - sigma + 1), with F(0) = 1
-    s = np.asarray(sigma)
-    out = np.ones_like(s)
-    pos = s > 0
-    out[pos] = s[pos] * np.log(s[pos]) - s[pos] + 1.0
-    return float(np.sum(out * w))
-
-
-def _project_duals(sigma0, sigma1, cost):
-    """phi_i = -1/2 log sigma_i (+inf on killed atoms), with phi1 replaced by
-    its half-cost transform so that phi0 (+) phi1 <= cost/2 holds exactly."""
-    with np.errstate(divide="ignore"):
-        phi0 = np.where(sigma0 > 0, -0.5 * np.log(np.maximum(sigma0, 1e-300)), np.inf)
-    n1 = len(sigma1)
-    phi1 = np.full(n1, np.inf)
-    finite0 = np.isfinite(phi0)
-    if np.any(finite0):
-        cols = 0.5 * cost[finite0, :] - phi0[finite0, None]
-        phi1 = np.min(cols, axis=0)
-        phi1[~np.isfinite(phi1)] = np.inf
-    return phi0, phi1
-
-
-def _dual_value(phi0, phi1, w0, w1):
-    def term(phi, w):
-        out = np.empty_like(phi)
-        fin = np.isfinite(phi)
-        out[fin] = 1.0 - np.exp(-2.0 * phi[fin])
-        out[~fin] = np.where(phi[~fin] > 0, 1.0, -np.inf)
-        return float(np.sum(out * w))
-
-    return term(phi0, w0) + term(phi1, w1)
 
 
 def _certificate(gamma, w0, w1, cost):
     """Marginal densities, primal value, projected duals and dual value of
-    the unregularized problem at the plan gamma (the gap is primal - dual)."""
+    the unregularized problem at the plan gamma (the gap is primal - dual).
+
+    phi0 = -log(sigma0) / 2 (+inf on killed atoms), and phi1 is its
+    half-cost transform, so that phi0 (+) phi1 <= cost/2 holds exactly."""
     sigma0 = gamma.sum(axis=1) / w0
     sigma1 = gamma.sum(axis=0) / w1
-    transport = float(np.sum(gamma * np.where(np.isfinite(cost), cost, 0.0)))
-    primal = _entropy_term(sigma0, w0) + _entropy_term(sigma1, w1) + transport
-    phi0, phi1 = _project_duals(sigma0, sigma1, cost)
-    return sigma0, sigma1, primal, phi0, phi1, _dual_value(phi0, phi1, w0, w1)
+    on = gamma > 0
+    primal = float(w0 @ (xlogy(sigma0, sigma0) - sigma0 + 1.0) + w1 @ (xlogy(sigma1, sigma1) - sigma1 + 1.0)
+                   + gamma[on] @ cost[on])
+    with np.errstate(divide="ignore"):
+        phi0 = -0.5 * np.log(sigma0)
+    phi1 = np.full(len(w1), np.inf)
+    live = np.isfinite(phi0)
+    if live.any():
+        cols = cost[live]
+        cols *= 0.5
+        cols -= phi0[live, None]
+        phi1 = cols.min(axis=0)
+    dual = float(w0 @ (1.0 - np.exp(-2.0 * phi0)) + w1 @ (1.0 - np.exp(-2.0 * phi1)))
+    return sigma0, sigma1, primal, phi0, phi1, dual
 
 
-def _seed_value(i, j, cost, w0, w1, row_exc, col_exc):
-    """Exact 1-D optimal mass for cell (i, j) holding the rest of the plan
-    fixed: the positive root of (row_exc + g)(col_exc + g) = w0 w1 e^{-cost},
-    or 0 when the stationarity is already met without the cell."""
-    k = w0[i] * w1[j] * np.exp(-min(cost[i, j], 1400.0))
-    rs = row_exc * col_exc
-    if k <= rs:
-        return 0.0
-    return 2.0 * (k - rs) / (row_exc + col_exc + np.sqrt((row_exc - col_exc) ** 2 + 4.0 * k))
+EPS_STAGES = tuple(10.0**-k for k in range(8))  # eps = 1, 0.1, ..., 1e-7
+NEWTON_RTOL = 1e-10  # relative marginal residual that ends a stage's Newton loop
+NEWTON_MAX_STEPS = 100
+SUPPORT_RTOL = 1e-6  # share of the lighter endpoint's mass that puts a cell on the forest
+FLOW_RTOL = 1e-12  # forest flows down to -FLOW_RTOL * (heaviest marginal) count as 0
+TIE_RTOL = 1e-11  # |cost - f - g| <= TIE_RTOL * (1 + cost) keeps a carrying cell off the tree
+TINY = np.finfo(float).tiny  # floor of the Newton diagonal, met only by atoms whose mass underflows
 
 
-def _restore_coverage(support, gamma, w0, w1, cost, finite):
-    """Give every uncovered row/column its cheapest finite-cost cell, seeded
-    at a near-stationary value (sigma_i = 0 is optimal only for rows whose
-    cost is +inf everywhere, and those are eliminated before the solve)."""
-    masked = np.where(finite, cost, np.inf)
-    for i in np.flatnonzero(~support.any(axis=1)):
-        j = int(np.argmin(masked[i]))
-        if finite[i, j]:
-            support[i, j] = True
-            gamma[i, j] = _seed_value(
-                i, j, cost, w0, w1, 0.0, float(gamma[:, j].sum())
-            )
-    for j in np.flatnonzero(~support.any(axis=0)):
-        i = int(np.argmin(masked[:, j]))
-        if finite[i, j]:
-            support[i, j] = True
-            gamma[i, j] = _seed_value(
-                i, j, cost, w0, w1, float(gamma[i, :].sum()), 0.0
-            )
+def _ensure_let_fits(n0, n1):
+    """Refuse, before allocating, a dense LET problem that does not fit in
+    free memory.  The bound counts 7 n0 x n1 arrays (tracemalloc peaks of
+    5.1-6.4 with the cost matrix, on grid pairs and on random problems with
+    and without eliminated atoms, converged or not), the Schur system and
+    its LAPACK copy, and 32 vectors of n0 + n1."""
+    floats = 7 * n0 * n1 + 2 * min(n0, n1) ** 2 + 32 * (n0 + n1)
+    _ensure_fits(floats, f"a dense {n0} x {n1} LET problem")
 
 
-def _newton_polish(gamma, w0, w1, cost, gtol=1e-12, max_rounds=40, max_steps=None):
-    """Active-set damped Newton on the unregularized primal.
+def _dual_newton(f, g, w0, w1, cost, eps):
+    """Maximise the entropic dual D_eps over (f, g), in place, by damped Newton.
 
-    The energy depends on gamma only through its marginals plus a linear
-    cost term, so the Hessian is singular along circulations of the support
-    graph; steps are capped at the boundary gamma >= 0, cells clamped at
-    zero with nonnegative gradient leave the working set (boundary KKT), and
-    off-support cells violating sigma0*sigma1 >= e^{-cost} are re-added once
-    the working set is stationary.  Cells whose optimal mass sits below
-    floating-point noise (sigma tiny but positive, e.g. the cheapest cell of
-    an almost-fully-killed atom) are pinned at their closed-form value
-    rather than fed to Newton, so every atom keeps a positive marginal
-    density and a finite dual potential.
+    The negative Hessian [[diag(a + r/eps), gamma/eps], [gamma^T/eps,
+    diag(b + s/eps)]] (a = w0 e^{-f}, r, s the plan's marginals) is strictly
+    diagonally dominant; each step solves its Schur complement on the smaller
+    side, so the linear system has min(n0, n1) unknowns.  Returns the number
+    of steps taken and the entropic plan at the final (f, g).
     """
-    n0, n1 = gamma.shape
-    finite = np.isfinite(cost)
-    scale = gamma.max()
-    if scale <= 0:
-        return gamma
-    support = (gamma > 1e-7 * scale) & finite
-    _restore_coverage(support, gamma, w0, w1, cost, finite)
-    gamma[~support] = 0.0
-    if support.sum() > 600:
-        # dense Newton no longer pays off; keep the entropic plan
-        return gamma
-    frozen_rel = 1e-13
-    if max_steps is None:
-        max_steps = 150 if support.sum() <= 150 else 50
+    gamma = f[:, None] + g[None, :]  # the entropic plan exp((f_i + g_j - cost_ij) / eps)
+    gamma -= cost
+    gamma /= eps
+    with np.errstate(over="ignore"):
+        np.exp(gamma, out=gamma)
+    for step in range(NEWTON_MAX_STEPS):
+        a, b = w0 * np.exp(-f), w1 * np.exp(-g)
+        r, s = gamma.sum(axis=1), gamma.sum(axis=0)
+        grad_f, grad_g = a - r, b - s
+        if (np.abs(grad_f) <= NEWTON_RTOL * a).all() and (np.abs(grad_g) <= NEWTON_RTOL * b).all():
+            return step, gamma
+        d0, d1 = np.maximum(a + r / eps, TINY), np.maximum(b + s / eps, TINY)
+        if len(g) <= len(f):
+            df, dg = _schur_step(gamma, d0, d1, grad_f, grad_g, eps)
+        else:
+            dg, df = _schur_step(gamma.T, d1, d0, grad_g, grad_f, eps)
+        slope = float(grad_f @ df + grad_g @ dg)
+        # Armijo on the exact change of D_eps, summed from expm1 terms so
+        # that it stays accurate when the change is far below D_eps itself
+        t = 1.0
+        while True:
+            change = np.add.outer(df * (t / eps), dg * (t / eps))
+            with np.errstate(over="ignore"):
+                np.expm1(np.minimum(change, 700.0, out=change), out=change)
+                change *= gamma
+                rise = a @ -np.expm1(-t * df) + b @ -np.expm1(-t * dg) - eps * change.sum()
+            if rise >= 1e-4 * t * slope:
+                break
+            t *= 0.5
+            if t < 1e-10:  # no ascent left at floating-point resolution
+                return step, gamma
+        f += t * df
+        g += t * dg
+        gamma += change
+        del change
+    return NEWTON_MAX_STEPS, gamma
 
-    for _ in range(max_rounds):
-        idx = np.argwhere(support)
-        ii, jj = idx[:, 0], idx[:, 1]
-        g = gamma[ii, jj].copy()
-        c = cost[ii, jj]
-        free = g > frozen_rel * scale
-        # re-seed sub-noise cells at their exact 1-D optimum; those still
-        # above the noise floor go to Newton, the rest stay pinned
-        if np.any(~free):
-            row_sums = gamma.sum(axis=1)
-            col_sums = gamma.sum(axis=0)
-            for k in np.flatnonzero(~free):
-                i, j = ii[k], jj[k]
-                g[k] = _seed_value(
-                    i, j, cost, w0, w1, row_sums[i] - gamma[i, j], col_sums[j] - gamma[i, j]
-                )
-                if g[k] > frozen_rel * scale:
-                    free[k] = True
-        fi = np.flatnonzero(free)
-        stationary = fi.size == 0
-        for _ in range(max_steps):
-            if fi.size == 0:
-                stationary = True
-                break
-            r = np.zeros(n0)
-            s = np.zeros(n1)
-            np.add.at(r, ii, g)
-            np.add.at(s, jj, g)
-            grad = np.log(r[ii[fi]] / w0[ii[fi]]) + np.log(s[jj[fi]] / w1[jj[fi]]) + c[fi]
-            at_zero = g[fi] == 0.0
-            moving = ~(at_zero & (grad > 0.0))
-            boundary_ok = np.all(grad[~moving] >= -1e-10) if np.any(~moving) else True
-            if not np.any(moving):
-                stationary = boundary_ok
-                break
-            if np.max(np.abs(grad[moving])) < gtol and boundary_ok:
-                stationary = True
-                break
-            a = fi[moving]
-            ga = g[a]
-            gr = grad[moving]
-            m = a.size
-            h = (ii[a][:, None] == ii[a][None, :]) / r[ii[a]][:, None]
-            h += (jj[a][:, None] == jj[a][None, :]) / s[jj[a]][:, None]
-            h[np.diag_indices(m)] *= 1.0 + 1e-12
-            try:
-                step = np.linalg.solve(h, -gr)
-            except np.linalg.LinAlgError:
-                step = -gr
-            slope = float(gr @ step)
-            if slope >= 0:
-                step = -gr
-                slope = -float(gr @ gr)
-            # h is singular along circulations; keep the step scale bounded
-            gs = max(float(ga.max()), frozen_rel * scale, 1e-300)
-            norm = float(np.max(np.abs(step)))
-            if norm > 1e3 * gs:
-                fac = 1e3 * gs / norm
-                step *= fac
-                slope *= fac
-            neg = step < 0
-            t_cap = np.inf
-            if np.any(neg):
-                pos = ga[neg] > 0
-                if np.any(pos):
-                    t_cap = float(np.min(-ga[neg][pos] / step[neg][pos]))
-            # keep every row/column sum strictly positive (the entropy gradient
-            # is -inf at an empty marginal; emptied atoms are pinned later)
-            dr = np.zeros(n0)
-            ds = np.zeros(n1)
-            np.add.at(dr, ii[a], step)
-            np.add.at(ds, jj[a], step)
-            for sums, dsums in ((r, dr), (s, ds)):
-                shrink = dsums < 0
-                if np.any(shrink):
-                    t_cap = min(t_cap, 0.995 * float(np.min(-sums[shrink] / dsums[shrink])))
-            t = min(1.0, t_cap)
-            e0 = _support_energy(g, ii, jj, c, w0, w1, n0, n1)
-            g_try = g.copy()
-            accepted = False
-            while t > 1e-14:
-                g_try[a] = np.maximum(ga + t * step, 0.0)
-                if _support_energy(g_try, ii, jj, c, w0, w1, n0, n1) <= e0 + 1e-4 * t * slope:
-                    accepted = True
-                    break
-                t *= 0.5
-            if not accepted:
-                break
-            g_new = np.maximum(ga + t * step, 0.0)
-            g_new[g_new <= 1e-16 * gs] = 0.0
-            g[a] = g_new
-        gamma[:] = 0.0
-        gamma[ii, jj] = g
-        if not stationary:
+
+def _schur_step(gamma, d_out, d_in, grad_out, grad_in, eps):
+    """Newton step of [[diag(d_out), gamma/eps], [gamma^T/eps, diag(d_in)]]
+    with the first block eliminated: the system solved is the Schur
+    complement, of the size of the second block."""
+    p = gamma / (eps * d_out[:, None])
+    schur = gamma.T @ p
+    schur /= -eps
+    schur[np.diag_indices(len(d_in))] += d_in
+    step_in = np.linalg.solve(schur, grad_in - p.T @ grad_out)
+    return (grad_out - gamma @ step_in / eps) / d_out, step_in
+
+
+def _forest_plan(gamma, w0, w1, cost):
+    """Exact plan on the cells of gamma that carry mass; overwrites gamma.
+
+    Prim's algorithm grows a maximum-mass spanning forest of those cells,
+    each tree from its heaviest atom.  On a tree, f_i + g_j = cost_ij on the
+    edges fixes the potentials up to one scalar t (f = a + t on rows,
+    g = b - t on columns), and mass balance sum w0 e^{-f} = sum w1 e^{-g}
+    gives t = log(A+ / A-) / 2 (infinite, hence mass 0, for an atom whose
+    mass underflowed, which no cell joins).  Leaf elimination towards the
+    root gives the flows, so their rounding lands on the heaviest atom.
+    Where tied costs close cycles and a tree flow goes negative, gamma stays
+    on the tight cells off the tree and the tree carries the rest.  An edge
+    whose flow is still negative is not in the optimal support: it is cut
+    and the split trees are solved anew, until no flow is negative.
+    """
+    n0, n = gamma.shape[0], sum(gamma.shape)
+    mass = np.concatenate([gamma.sum(axis=1), gamma.sum(axis=0)])
+    share = np.minimum(mass[:n0, None], mass[None, n0:])
+    share *= SUPPORT_RTOL
+    gamma[gamma <= share] = 0.0
+    del share
+
+    order, label, pot = np.empty(n, dtype=int), np.empty(n, dtype=int), np.zeros(n)
+    parent = np.full(n, -1)  # of a free atom: its neighbour in the trees by its heaviest cell
+    key = np.zeros(n)  # ... and the mass of that cell
+    free = np.ones(n, dtype=bool)
+    for step in range(n):
+        v = int(np.argmax(np.where(free, key, -1.0)))
+        if key[v] > 0.0:
+            u = parent[v]
+            pot[v] = (cost[v, u - n0] if v < n0 else cost[u, v - n0]) - pot[u]
+        else:
+            v = int(np.argmax(np.where(free, mass, -1.0)))
+        order[step], free[v] = v, False
+        cells, side = (gamma[v], slice(n0, n)) if v < n0 else (gamma[:, v - n0], slice(0, n0))
+        better = (cells > key[side]) & free[side]
+        key[side][better] = cells[better]
+        parent[side][better] = v
+
+    is_col = (np.arange(n) >= n0).astype(int)
+    logw = np.concatenate([np.log(w0), np.log(w1)]) - pot
+    while True:
+        kids = order[parent[order] >= 0]
+        trees = 0
+        for v in order:  # parents first: a root, or a kid cut from its parent, starts a tree
+            if parent[v] < 0:
+                label[v], trees = trees, trees + 1
+            else:
+                label[v] = label[parent[v]]
+        lse = np.full((2, trees), -np.inf)
+        np.logaddexp.at(lse, (is_col, label), logw)
+        t = 0.5 * (lse[0] - lse[1])[label] * (1 - 2 * is_col)  # +t on rows, -t on columns
+        exact = np.exp(logw - t)
+        floor = -FLOW_RTOL * exact.max()
+        flows = _tree_flows(exact, kids, parent)
+        off = kids[:0], kids[:0]  # tied carrying cells off the forest, which keep their mass
+        if flows.min(initial=0.0) < floor:
+            slack = np.add.outer(pot[:n0] + t[:n0], pot[n0:] + t[n0:])
+            slack -= cost
+            r, c = np.nonzero((np.abs(slack, out=slack) <= TIE_RTOL * (1.0 + cost)) & (gamma > 0))
+            del slack
+            keep = (parent[r] != n0 + c) & (parent[n0 + c] != r)
+            off = r[keep], c[keep]
+            held = np.bincount(off[0], gamma[off], n0), np.bincount(off[1], gamma[off], n - n0)
+            flows = _tree_flows(exact - np.concatenate(held), kids, parent)
+        cut = flows < floor
+        if not cut.any():
             break
-        changed = False
-        zero_cells = support & (gamma == 0.0)
-        if np.any(zero_cells):
-            support &= gamma > 0.0
-            _restore_coverage(support, gamma, w0, w1, cost, finite)
-            changed = True
-        # refresh pinned cells against the post-Newton marginal sums
-        pinned = support & (gamma > 0.0) & (gamma <= frozen_rel * scale)
-        if np.any(pinned):
-            row_sums = gamma.sum(axis=1)
-            col_sums = gamma.sum(axis=0)
-            for i, j in np.argwhere(pinned):
-                new = _seed_value(
-                    i, j, cost, w0, w1, row_sums[i] - gamma[i, j], col_sums[j] - gamma[i, j]
-                )
-                if abs(new - gamma[i, j]) > 1e-9 * max(new, gamma[i, j], 1e-300):
-                    changed = True
-                gamma[i, j] = new
-                if new == 0.0:
-                    support[i, j] = False
-        # KKT screening over inactive finite-cost cells
-        r = np.maximum(gamma.sum(axis=1), 1e-300)
-        s = np.maximum(gamma.sum(axis=0), 1e-300)
-        viol = -(np.log(r / w0)[:, None] + np.log(s / w1)[None, :] + np.where(finite, cost, np.inf))
-        viol[support] = -np.inf
-        worst = viol.max()
-        if worst > 1e-10:
-            row_sums = gamma.sum(axis=1)
-            col_sums = gamma.sum(axis=0)
-            for i, j in np.argwhere(viol >= max(1e-10, 0.5 * worst)):
-                support[i, j] = True
-                gamma[i, j] = max(
-                    _seed_value(i, j, cost, w0, w1, row_sums[i], col_sums[j]),
-                    2 * frozen_rel * scale,
-                )
-            changed = True
-        if not changed:
-            break
+        parent[kids[cut]] = -1
+    carried = gamma[off]
+    gamma[:] = 0.0
+    gamma[off] = carried
+    tree = np.where(kids < n0, kids, parent[kids]), np.where(kids < n0, parent[kids], kids) - n0
+    gamma[tree] = np.maximum(flows, 0.0)
     return gamma
 
 
-def _support_energy(g, ii, jj, c, w0, w1, n0, n1):
-    r = np.zeros(n0)
-    s = np.zeros(n1)
-    np.add.at(r, ii, g)
-    np.add.at(s, jj, g)
-    return float(np.sum(g * c)) + _entropy_term(r / w0, w0) + _entropy_term(s / w1, w1)
+def _tree_flows(mass, kids, parent):
+    """Flows on the edges (kid, parent of kid) that leave every atom with the
+    given mass, by leaf elimination (kids ordered parents first)."""
+    acc = mass.copy()
+    flows = np.empty(len(kids))
+    for k in range(len(kids) - 1, -1, -1):
+        flows[k] = acc[kids[k]]
+        acc[parent[kids[k]]] -= flows[k]
+    return flows
 
 
-DEFAULT_EPS_START = 1.0
-DEFAULT_EPS_FINAL = 1e-3
-DEFAULT_EPS_FACTOR = 0.7
-EPS_FLOOR = 1e-7
-
-
-def solve_let(problem, tol=1e-9, max_stage_iters=350):
+def solve_let(problem, tol=1e-9):
     """Solve the LET problem to duality gap <= tol * (1 + |primal|).
 
-    Annealed log-domain scaling (eps: 1.0 -> 1e-3, factor 0.7) seeds a
-    damped-Newton polish of the exact primal; the annealing continues below
-    1e-3 only if the certified gap still exceeds the tolerance.  Rows and
-    columns whose cost is +inf everywhere are eliminated first (such atoms
-    contribute their full mass, F(0) = 1).
+    One warm-started loop over EPS_STAGES: a scaling sweep and damped Newton
+    on the entropic dual find the support, _forest_plan solves the exact
+    optimality system on it, and the loop stops at the first plan whose
+    certificate passes; after the last stage the best plan is returned,
+    converged=False.  Rows and columns whose cost is +inf everywhere are
+    eliminated first (such atoms contribute their full mass, F(0) = 1).
+    ``stats`` holds (eps, Newton steps, gap) per stage; ``iterations``
+    totals the Newton steps.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     mu0, mu1, cost = problem.mu0, problem.mu1, problem.cost
-    n0, n1 = len(mu0), len(mu1)
+    _ensure_let_fits(*cost.shape)
     w0, w1 = mu0.weights, mu1.weights
-    plan = np.zeros((n0, n1))
-
     finite = np.isfinite(cost)
-    live0 = finite.any(axis=1) if n1 > 0 else np.zeros(n0, dtype=bool)
-    live1 = finite.any(axis=0) if n0 > 0 else np.zeros(n1, dtype=bool)
+    live0, live1 = finite.any(axis=1), finite.any(axis=0)
+    del finite
+    live = np.ix_(live0, live1)
+    whole = live0.all() and live1.all()
 
-    iterations = 0
-    eps = DEFAULT_EPS_FINAL
+    def judge(sub_plan, eps):
+        plan = sub_plan
+        if not whole:
+            plan = np.zeros(cost.shape)
+            plan[live] = sub_plan
+        cert = _certificate(plan, w0, w1, cost)
+        cells = np.nonzero(plan)  # kept sparse, so no dense plan outlives its stage
+        return cert[2] - cert[5], (cells, plan[cells]), cert, eps
+
+    stats, best = [], None  # best: (gap, (cells, masses), certificate, eps)
     if live0.any() and live1.any():
-        sub_cost = cost[np.ix_(live0, live1)]
+        sub_cost = cost if whole else cost[live]
         sw0, sw1 = w0[live0], w1[live1]
-        logw0, logw1 = np.log(sw0), np.log(sw1)
-        f = np.zeros(len(sw0))
-        g = np.zeros(len(sw1))
-
-        eps = DEFAULT_EPS_START
-        best = None
-        best_gap = np.inf
-        while True:
-            it, _ = _kernels.scaling_sweep(
-                f, g, logw0, logw1, sub_cost, eps, max_stage_iters, max(1e-12, 1e-4 * eps)
-            )
-            iterations += it
-            if eps <= DEFAULT_EPS_FINAL * (1 + 1e-12):
-                # recover the plan, polish it on the exact primal, certify
-                with np.errstate(over="ignore"):
-                    gamma = np.exp(
-                        np.minimum((f[:, None] + g[None, :] - sub_cost) / eps, 700.0)
-                    )
-                gamma[~np.isfinite(sub_cost)] = 0.0
-                gamma = _newton_polish(gamma, sw0, sw1, sub_cost)
-                _, _, p, _, _, d = _certificate(gamma, sw0, sw1, sub_cost)
-                gap = p - d
-                if gap < best_gap:
-                    best = (gamma.copy(), eps)
-                    best_gap = gap
-                if best_gap <= tol * (1.0 + abs(p)):
-                    break
-            if eps <= EPS_FLOOR * (1 + 1e-12):
+        f, g = np.zeros(len(sw0)), np.zeros(len(sw1))
+        for eps in EPS_STAGES:
+            # one block-coordinate ascent sweep puts every atom's mass in range
+            # for Newton, which moves a potential from far off by ~1 per step
+            _kernels.scaling_sweep(f, g, np.log(sw0), np.log(sw1), sub_cost, eps, 1, 0.0)
+            steps, gamma = _dual_newton(f, g, sw0, sw1, sub_cost, eps)
+            stage = judge(_forest_plan(gamma, sw0, sw1, sub_cost), eps)
+            del gamma
+            stats.append((eps, steps, stage[0]))
+            if best is None or stage[0] < best[0]:
+                best = stage
+            if stage[0] <= tol * (1.0 + abs(stage[2][2])):
                 break
-            eps = max(eps * DEFAULT_EPS_FACTOR, EPS_FLOOR)
-        gamma, eps = best
-        plan[np.ix_(live0, live1)] = gamma
-
-    sigma0, sigma1, primal, phi0, phi1, dual = _certificate(plan, w0, w1, cost)
+    else:
+        best = judge(np.zeros((live0.sum(), live1.sum())), EPS_STAGES[0])
+    _, (cells, masses), (sigma0, sigma1, primal, phi0, phi1, dual), eps = best
+    plan = np.zeros(cost.shape)
+    plan[cells] = masses
     gap = primal - dual
-    converged = gap <= tol * (1.0 + abs(primal)) + 1e-15
     return LetSolution(
         plan=plan,
         sigma0=sigma0,
@@ -410,39 +346,37 @@ def solve_let(problem, tol=1e-9, max_stage_iters=350):
         primal_value=primal,
         dual_value=dual,
         gap=gap,
-        iterations=iterations,
+        iterations=sum(s[1] for s in stats),
         epsilon_final=eps,
-        converged=converged,
+        converged=gap <= tol * (1.0 + abs(primal)),
+        stats=stats,
     )
 
 
-def solve_let_exact_small(problem, n_newton=200):
-    """Damped-Newton minimization of the convex primal over all cells; exact
-    oracle for supports <= 3 (kept dense, all cells active from the start)."""
-    mu0, mu1, cost = problem.mu0, problem.mu1, problem.cost
-    n0, n1 = len(mu0), len(mu1)
+def solve_let_exact_small(problem):
+    """Optimal LET value for supports <= 3 by SLSQP on the dual, an oracle
+    independent of solve_let: maximise sum w (1 - e^{-z}) subject to
+    z_i + z_j <= cost_ij on finite cells; atoms with no finite cell add
+    their full mass."""
+    n0, n1 = problem.cost.shape
     if n0 > 3 or n1 > 3:
-        raise ValueError("exact fallback is for supports <= 3")
-    if n0 == 0 or n1 == 0:
-        return solve_let(problem)
-    w0, w1 = mu0.weights, mu1.weights
-    finite = np.isfinite(cost)
-    gamma = np.where(finite, np.sqrt(np.outer(w0, w1)) * np.exp(-np.where(finite, cost, 0.0) / 2), 0.0)
-    gamma = _newton_polish(gamma, w0, w1, cost, max_rounds=12, max_steps=n_newton)
-    sigma0, sigma1, primal, phi0, phi1, dual = _certificate(gamma, w0, w1, cost)
-    return LetSolution(
-        plan=gamma,
-        sigma0=sigma0,
-        sigma1=sigma1,
-        phi0=phi0,
-        phi1=phi1,
-        primal_value=primal,
-        dual_value=dual,
-        gap=primal - dual,
-        iterations=0,
-        epsilon_final=0.0,
-        converged=True,
-    )
+        raise ValueError("exact oracle is for supports <= 3")
+    finite = np.isfinite(problem.cost)
+    ii, jj = np.nonzero(finite)
+    a = np.zeros((len(ii), n0 + n1))
+    a[np.arange(len(ii)), ii] = a[np.arange(len(ii)), n0 + jj] = 1.0
+    live = np.concatenate([finite.any(axis=1), finite.any(axis=0)])
+    w = np.concatenate([problem.mu0.weights, problem.mu1.weights])
+    a, wl = a[:, live], w[live]
+    res = minimize(
+        lambda z: wl @ np.expm1(-z),
+        np.zeros(len(wl)),
+        jac=lambda z: -wl * np.exp(-z),
+        method="SLSQP",
+        constraints=[{"type": "ineq", "fun": lambda z: problem.cost[ii, jj] - a @ z, "jac": lambda z: -a}],
+        options={"ftol": 1e-16, "maxiter": 1000},
+    ) if live.any() else None
+    return float(w[~live].sum() - (res.fun if res else 0.0))
 
 
 def ghk_sq(mu0, mu1, tol=1e-9):
@@ -507,28 +441,14 @@ def verify_optimality(problem, sol, tol=1e-6):
         if on.any():
             prod_support = float(np.max(np.abs(prod - emc)[on]))
 
-    feas = 0.0
-    f0 = np.isfinite(sol.phi0)
-    f1 = np.isfinite(sol.phi1)
-    if f0.any() and f1.any():
-        lhs = sol.phi0[f0][:, None] + sol.phi1[f1][None, :]
-        feas = float(np.max(lhs - 0.5 * cost[np.ix_(f0, f1)], initial=0.0))
-    # +inf potentials are feasible only against forbidden cells
-    bad0 = ~f0 & (sol.phi0 > 0)
-    if bad0.any() and len(s1):
-        if np.isfinite(cost[bad0, :]).any():
-            feas = np.inf
-    bad1 = ~f1 & (sol.phi1 > 0)
-    if bad1.any() and len(s0):
-        if np.isfinite(cost[:, bad1]).any():
-            feas = np.inf
-
-    marg = 0.0
-    if gamma.size:
-        marg = max(
-            float(np.max(np.abs(gamma.sum(axis=1) - s0 * w0), initial=0.0)),
-            float(np.max(np.abs(gamma.sum(axis=0) - s1 * w1), initial=0.0)),
-        )
+    # +inf potentials are feasible only against forbidden cells (inf - inf)
+    with np.errstate(invalid="ignore"):
+        lhs = np.add.outer(sol.phi0, sol.phi1) - 0.5 * cost
+    feas = float(np.max(lhs, initial=0.0, where=~np.isnan(lhs)))
+    marg = max(
+        float(np.max(np.abs(gamma.sum(axis=1) - s0 * w0), initial=0.0)),
+        float(np.max(np.abs(gamma.sum(axis=0) - s1 * w1), initial=0.0)),
+    )
 
     return OptimalityReport(
         product_lower_violation=prod_lower,

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 
 import numpy as np
 from scipy.optimize import linprog
@@ -25,6 +26,21 @@ __all__ = [
 
 WASSERSTEIN_SUPPORT_CAP = 64
 EQUAL_MASS_RTOL = 1e-12
+
+
+def _available_bytes():
+    """Free physical memory (unbounded where the platform does not report it)."""
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (ValueError, OSError):
+        return np.inf
+
+
+def _ensure_fits(n_floats, what):
+    """Refuse, before allocating, n_floats float64 values that do not fit in free memory."""
+    need, avail = 8 * n_floats, _available_bytes()
+    if need > avail:
+        raise ValueError(f"{what} needs about {need:,} bytes, but only {avail:,} bytes of memory are free")
 
 
 class DiscreteMeasure:
@@ -150,8 +166,12 @@ def hellinger_sq(mu0, mu1):
 
 def cost_matrix_sq(mu0, mu1):
     """Pairwise squared Euclidean distances between the supports."""
-    diff = mu0.points[:, None, :] - mu1.points[None, :, :]
-    return np.sum(diff * diff, axis=2)
+    out = np.zeros((len(mu0), len(mu1)))
+    for k in range(mu0.points.shape[1]):
+        diff = np.subtract.outer(mu0.points[:, k], mu1.points[:, k])
+        diff *= diff
+        out += diff
+    return out
 
 
 def wasserstein_sq(mu0, mu1, support_cap=WASSERSTEIN_SUPPORT_CAP):

@@ -15,7 +15,7 @@ measure dependence).
 import numpy as np
 
 from . import _kernels
-from .let import LetProblem, solve_let
+from .let import LetProblem, _ensure_let_fits, solve_let
 from .measures import DiscreteMeasure, cost_matrix_sq
 from .mollify import mollify
 
@@ -148,6 +148,7 @@ def legendre_pair(nu, mu, cfg, tol=5e-3, radius=None):
     if radius is None:
         radius = float(np.max(np.linalg.norm(nu.points, axis=1)))
     m = mollify(mu, cfg)
+    _ensure_let_fits(len(nu), len(m))
     sol = solve_let(LetProblem(nu, m, cost_matrix_sq(nu, m)), tol)
 
     # min-convolution extension of the solver duals, then exact conjugation

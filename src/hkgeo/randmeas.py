@@ -15,13 +15,13 @@ single-measure samplers are the n = 1 rows of the batch samplers.
 """
 
 import math
-import os
 import time
 from math import gamma as gamma_fn
 
 import numpy as np
+from scipy.special import pdtrc
 
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _ensure_fits
 
 __all__ = [
     "IntensityParams",
@@ -189,25 +189,26 @@ class CheckReport:
         return {k: getattr(self, k) for k in self.__slots__}
 
 
-def _available_bytes():
-    """Free physical memory (unbounded where the platform does not report it)."""
-    try:
-        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (ValueError, OSError):
-        return np.inf
-
-
-def _ensure_fits(n_floats, what):
-    """Refuse, before allocating, n_floats float64 values that do not fit in free memory."""
-    need, avail = 8 * n_floats, _available_bytes()
-    if need > avail:
-        raise ValueError(f"{what} needs about {need:,} bytes, but only {avail:,} bytes of memory are free")
-
-
 def _truncation_level(beta, trunc_tol):
     if beta <= 0 or not 0 < trunc_tol < 1:
         raise ValueError("need beta > 0 and trunc_tol in (0, 1)")
     return max(8, int(np.ceil(-np.log(trunc_tol) * max(beta, 1.0))) + 16)
+
+
+def _batch_floats(dim, beta, n, trunc_tol):
+    """Upper bound of the float64 values a batch of n measures holds at its
+    peak (tracemalloc: 2 dim + 5 per padded atom, for the sticks, the base
+    draws and the flattened atoms), times its stick columns.
+
+    A row needs N + 1 sticks, N ~ Poisson(beta L) with L = -log(trunc_tol),
+    since -log(1 - v) ~ Exp(beta) for v ~ Beta(1, beta); the column count
+    is the least k >= the initial level that all n rows stay within except
+    with probability 1e-9, plus the residual column."""
+    k = _truncation_level(beta, trunc_tol)
+    mean = -beta * math.log(trunc_tol)
+    while n * pdtrc(k - 1, mean) > 1e-9:
+        k += 1
+    return n * (k + 1) * (2 * dim + 6)
 
 
 def _stick_matrix(beta, n, trunc_tol, rng):
@@ -235,8 +236,7 @@ def _shapes(params, beta, n, trunc_tol, rng, draw_masses=None):
     Draw order: the masses (draw_masses(n), default all 1), the stick
     matrix, then all n * K atoms in one base_sampler call.  The memory check
     comes first, before anything is allocated."""
-    k = _truncation_level(beta, trunc_tol)
-    _ensure_fits(n * (k + 1) * (params.dim + 1), f"a batch of {n} random measures")
+    _ensure_fits(_batch_floats(params.dim, beta, n, trunc_tol), f"a batch of {n} random measures")
     masses = np.ones(n) if draw_masses is None else draw_masses(n)
     q = _stick_matrix(beta, n, trunc_tol, rng)
     x = params.base_sampler(rng, q.size).reshape(q.shape + (params.dim,))

@@ -29,6 +29,10 @@ class TestDist:
         assert rep["value"] == pytest.approx(expected, rel=1e-7)
         assert rep["gap"] <= 1e-9 * (1 + rep["value"])
         assert "config" in rep
+        # per-stage (eps, Newton steps, gap); the last stage's gap is the reported one
+        assert sum(steps for _, steps, _ in rep["stats"]) == rep["iterations"]
+        assert rep["stats"][-1][0] == rep["epsilon_final"]
+        assert rep["stats"][-1][2] == rep["gap"]
 
     def test_w2_unequal_masses_inf(self, measure_files, tmp_path):
         pa, pb = measure_files
@@ -146,9 +150,9 @@ class TestValidate:
             assert check["runtime_s"] > 0 and check["per_sample_us"] > 0
 
     def test_batch_too_big_for_memory_exits_one(self, monkeypatch, capsys):
-        import hkgeo.randmeas as rm
+        import hkgeo.measures as ms
 
-        monkeypatch.setattr(rm, "_available_bytes", lambda: 2**30)
+        monkeypatch.setattr(ms, "_available_bytes", lambda: 2**30)
         assert main(["validate", "mecke-df", "--n", "100000000", "--seed", "1"]) == 1
         err = capsys.readouterr().err
         assert "bytes" in err and "memory" in err
@@ -180,6 +184,22 @@ class TestMollifyPotentials:
         assert rep["psi_lipschitz"] <= rep["R"] + 1e-9
         assert (tmp_path / "pot.phi.csv").exists()
         assert (tmp_path / "pot.psi.csv").exists()
+
+    def test_dense_2d_potentials_at_defaults_refused(self, tmp_path, monkeypatch, capsys):
+        # at the defaults (radius 1, spacing 0.01) the dense 2-D problem is
+        # about 31,000 x 20,000 cells; it is refused before the cost is built
+        import hkgeo.measures as ms
+        import hkgeo.potentials as pot
+
+        monkeypatch.setattr(ms, "_available_bytes", lambda: 2**30)
+        monkeypatch.setattr(pot, "cost_matrix_sq", lambda *a: pytest.fail("dense cost matrix built"))
+        pm = tmp_path / "m.json"
+        pm.write_text(json.dumps(measure_to_json(DiscreteMeasure([[0.1, -0.2], [0.3, 0.2]], [0.8, 1.1]))))
+        prefix = tmp_path / "pot"
+        assert main(["potentials", str(pm), "--out", str(prefix)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "LET problem" in err and "bytes" in err
+        assert not list(tmp_path.glob("pot*"))
 
 
 class TestConfigFile:

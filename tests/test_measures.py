@@ -4,6 +4,7 @@ from itertools import combinations
 
 from hkgeo.measures import (
     DiscreteMeasure,
+    cost_matrix_sq,
     decompose,
     dilate,
     hellinger_sq,
@@ -103,6 +104,19 @@ class TestHellinger:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             hellinger_sq(DiscreteMeasure([[0.0]], [1.0]), DiscreteMeasure([[0.0, 0.0]], [1.0]))
+
+
+class TestCostMatrix:
+    def test_matches_broadcast_reference_exactly(self):
+        # one axis at a time adds the squares in the order of the (n0, n1, d)
+        # broadcast sum, so the result is the same to the last bit
+        rng = np.random.default_rng(40)
+        for dim in (1, 2, 3, 5):
+            m0, m1 = random_measure(rng, 30, dim, scale=3.0), random_measure(rng, 40, dim)
+            diff = m0.points[:, None, :] - m1.points[None, :, :]
+            np.testing.assert_array_equal(cost_matrix_sq(m0, m1), np.sum(diff * diff, axis=2))
+        empty = DiscreteMeasure(np.empty((0, 2)), [], dim=2)
+        assert cost_matrix_sq(empty, random_measure(rng, 3)).shape == (0, 3)
 
 
 class TestWasserstein:

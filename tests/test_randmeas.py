@@ -3,7 +3,7 @@ import pytest
 from math import gamma as gamma_fn
 
 from hkgeo import cylinders as cyl
-from hkgeo import randmeas
+from hkgeo import measures, randmeas
 from hkgeo.measures import DiscreteMeasure, pushforward
 from hkgeo.randmeas import (
     CheckReport,
@@ -401,7 +401,7 @@ class TestMeasureBatch:
 
 class TestMemoryGuard:
     def test_refuses_before_allocating(self, params, monkeypatch):
-        monkeypatch.setattr(randmeas, "_available_bytes", lambda: 1_000_000)
+        monkeypatch.setattr(measures, "_available_bytes", lambda: 1_000_000)
         drawn = []
         monkeypatch.setattr(params, "base_sampler", lambda rng, n: drawn.append(n))
         with pytest.raises(ValueError, match="bytes"):
@@ -410,12 +410,31 @@ class TestMemoryGuard:
             mecke_check_df(lambda eta, x, t: t, 1.0, params, n=10_000, rng=np.random.default_rng(0))
         assert drawn == []
         # a batch that fits is drawn as before
-        monkeypatch.setattr(randmeas, "_available_bytes", lambda: 10**9)
+        monkeypatch.setattr(measures, "_available_bytes", lambda: 10**9)
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match="bytes"):
             randmeas.df_batch(params, 1.0, 10**12, rng)
         assert rng.bit_generator.state == before
+
+    def test_estimate_bounds_what_a_batch_holds(self, params, monkeypatch):
+        # the stick matrix grows past its initial level with n, and the base
+        # draws and the flattened atoms come on top; the estimate counts both
+        import tracemalloc
+
+        n = 5000
+        tracemalloc.start()
+        try:
+            gamma_batch(params, n, seed=113)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * randmeas._batch_floats(params.dim, params.theta, n, 1e-10)
+        # n = 1e5 takes about 510 MB; an estimate from the initial level and
+        # d + 1 floats per atom (154 MB) let it through with 200 MB free
+        monkeypatch.setattr(measures, "_available_bytes", lambda: 200 * 2**20)
+        with pytest.raises(ValueError, match="bytes"):
+            gamma_batch(params, 10**5, seed=113)
 
 
 class TestCheckReportTiming:
