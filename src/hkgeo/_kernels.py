@@ -20,11 +20,12 @@ BACKEND = "numpy"
 def scaling_sweep(f, g, logw0, logw1, cost, eps, n_iter, tol):
     """Log-domain scaling updates for the KL-penalized entropy-transport problem.
 
-    Updates the scaled dual potentials in place:
-        f <- (eps/(1+eps)) * (eps*logw0 - eps*lse((g - cost)/eps)) / eps ...
-    written directly on f, g with the stabilized log-sum-exp.  Forbidden
-    cells carry cost = +inf and drop out of the lse.  Returns the number of
-    iterations run and the last max potential change.
+    Updates the dual potentials in place, with the stabilized log-sum-exp:
+        f_i <- eps/(1+eps) * (log w0_i - lse_j((g_j - cost_ij)/eps)),
+        g_j <- eps/(1+eps) * (log w1_j - lse_i((f_i - cost_ij)/eps)),
+    the g update using the new f.  Forbidden cells carry cost = +inf and
+    drop out of the lse.  Returns the number of iterations run and the last
+    max potential change.
     """
     lam = 1.0 / (1.0 + eps)
     delta = np.inf
@@ -92,8 +93,16 @@ def euler_besq_exit(x0, theta, a, b, dt, normals):
 
 
 def maxplus_transform(xs, ys, psi):
-    """phi(x) = max_y (x * y - psi(y)) along one axis (1-D grids)."""
-    return np.max(xs[:, None] * ys[None, :] - psi[None, :], axis=1)
+    """phi(x) = max_y (<x, y> - psi(y)) for points xs (n,) or (n, d) and
+    ys (m,) or (m, d).  The per-axis products x_k * y_k are summed into one
+    (n, m) buffer in place, psi is subtracted in place, and rows are maxed."""
+    xs = xs.reshape(len(xs), -1)
+    ys = ys.reshape(len(ys), -1)
+    acc = np.multiply.outer(xs[:, 0], ys[:, 0])
+    for k in range(1, xs.shape[1]):
+        acc += np.multiply.outer(xs[:, k], ys[:, k])
+    acc -= psi
+    return acc.max(axis=1)
 
 
 def stamp_kernel(idx, w, patch, grid, strides):

@@ -101,16 +101,20 @@ def hitting_prob(theta, a, x, b):
     return float((sb - sx) / (sb - sa))
 
 
-def empirical_hitting(theta, a, x, b, dt, n_paths, rng, t_max=200.0, segment_steps=8000):
-    """Fraction of Euler paths hitting a before b: segmented simulation with
-    per-path states so resolved paths stop consuming budget; unresolved paths
+HITTING_SEGMENT_STEPS = 500  # Euler steps per block of normals drawn for the live paths
+
+
+def empirical_hitting(theta, a, x, b, dt, n_paths, rng, t_max=200.0):
+    """Fraction of Euler paths hitting a before b: segments of
+    HITTING_SEGMENT_STEPS steps, each drawing normals only for the paths
+    still alive, so resolved paths stop consuming budget; unresolved paths
     after t_max count toward neither side and are reported."""
     states = np.full(n_paths, float(x))
     hits_a = 0
     hits_b = 0
     steps_left = int(round(t_max / dt))
     while len(states) and steps_left > 0:
-        n_seg = min(segment_steps, steps_left)
+        n_seg = min(HITTING_SEGMENT_STEPS, steps_left)
         normals = rng.standard_normal((len(states), n_seg))
         out, final = _kernels.euler_besq_exit(
             states, float(theta), float(a), float(b), float(dt), normals

@@ -199,6 +199,15 @@ def cmd_mollify(args):
     return 0
 
 
+def _write_grid_csv(path, name, points, values):
+    """One row per grid node: its coordinates x1..xd, then its value."""
+    with open(path, "w") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{i+1}" for i in range(points.shape[1])] + [name])
+        for p, v in zip(points, values):
+            writer.writerow(list(map(repr, map(float, p))) + [repr(float(v))])
+
+
 def cmd_potentials(args):
     mu = load_measure(args.measure)
     if mu.dim != 1 and mu.dim != 2:
@@ -213,16 +222,8 @@ def cmd_potentials(args):
     pair = legendre_pair(nu, mu, cfg, tol=args.tol, radius=args.radius)
     t_mu = mollify(mu, cfg)
     grad_value, excluded = gradient_duality_value(pair, t_mu)
-    with open(args.out + ".phi.csv", "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i+1}" for i in range(mu.dim)] + ["phi"])
-        for p, v in zip(pair.phi_points, pair.phi):
-            writer.writerow(list(map(repr, map(float, p))) + [repr(float(v))])
-    with open(args.out + ".psi.csv", "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i+1}" for i in range(mu.dim)] + ["psi"])
-        for p, v in zip(pair.psi_points, pair.psi):
-            writer.writerow(list(map(repr, map(float, p))) + [repr(float(v))])
+    _write_grid_csv(args.out + ".phi.csv", "phi", pair.phi_points, pair.phi)
+    _write_grid_csv(args.out + ".psi.csv", "psi", pair.psi_points, pair.psi)
     report = {
         "duality_value": pair.duality_value,
         "solver_value": pair.solver_value,

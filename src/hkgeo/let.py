@@ -96,8 +96,11 @@ def _certificate(gamma, w0, w1, cost):
     """Marginal densities, primal value, projected duals and dual value of
     the unregularized problem at the plan gamma (the gap is primal - dual).
 
-    phi0 = -log(sigma0) / 2 (+inf on killed atoms), and phi1 is its
-    half-cost transform, so that phi0 (+) phi1 <= cost/2 holds exactly."""
+    phi0 = -log(sigma0) / 2 on the rows the plan fills, and phi1 is its
+    half-cost transform, so that phi0 (+) phi1 <= cost/2 holds exactly.  A
+    row the plan leaves empty enters that transform at phi0 = 0 and then
+    takes the half-cost transform of phi1; only a row without a finite cell
+    keeps phi0 = +inf (its atom is killed in every plan)."""
     sigma0 = gamma.sum(axis=1) / w0
     sigma1 = gamma.sum(axis=0) / w1
     on = gamma > 0
@@ -105,15 +108,25 @@ def _certificate(gamma, w0, w1, cost):
                    + gamma[on] @ cost[on])
     with np.errstate(divide="ignore"):
         phi0 = -0.5 * np.log(sigma0)
-    phi1 = np.full(len(w1), np.inf)
-    live = np.isfinite(phi0)
-    if live.any():
-        cols = cost[live]
-        cols *= 0.5
-        cols -= phi0[live, None]
-        phi1 = cols.min(axis=0)
+    empty = np.flatnonzero(np.isinf(phi0))  # a plan usually fills every row
+    if empty.size:
+        empty = empty[np.isfinite(cost[empty]).any(axis=1)]
+        phi0[empty] = 0.0
+    phi1 = _half_cost_transform(cost, phi0)
+    if empty.size:
+        phi0[empty] = _half_cost_transform(cost[empty].T, phi1)
     dual = float(w0 @ (1.0 - np.exp(-2.0 * phi0)) + w1 @ (1.0 - np.exp(-2.0 * phi1)))
     return sigma0, sigma1, primal, phi0, phi1, dual
+
+
+def _half_cost_transform(cost, phi):
+    """min_i (cost_ij / 2 - phi_i) over the rows i with finite phi, for each
+    column j (+inf where no such row has a finite cell)."""
+    live = np.isfinite(phi)
+    cols = cost[live]
+    cols *= 0.5
+    cols -= phi[live, None]
+    return cols.min(axis=0, initial=np.inf)
 
 
 EPS_STAGES = tuple(10.0**-k for k in range(8))  # eps = 1, 0.1, ..., 1e-7

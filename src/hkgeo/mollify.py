@@ -136,11 +136,7 @@ def mollify(mu, cfg):
     _kernels.stamp_kernel(flat_centers, w, patch, grid, flat_offsets)
 
     nz = np.flatnonzero(grid)
-    coords = np.empty((len(nz), cfg.dim))
-    rem = nz
-    for k in range(cfg.dim):
-        coords[:, k] = (rem // strides[k] - cfg.half_nodes) * sp
-        rem = rem % strides[k]
+    coords = (np.stack(np.unravel_index(nz, (n,) * cfg.dim), axis=1) - cfg.half_nodes) * sp
     return DiscreteMeasure(coords, grid[nz], dim=cfg.dim)
 
 

@@ -28,12 +28,26 @@ __all__ = [
 ]
 
 
+def _lattice_points(origin, shape, spacing):
+    """Nodes (origin + i) * spacing of the box i in [0, shape), row-major."""
+    return (np.indices(shape).reshape(len(shape), -1).T + origin) * spacing
+
+
+def _lattice_nodes(points, origin, shape, spacing):
+    """Integer index i of each point in the box of nodes (origin + i) * spacing,
+    i in [0, shape), and a mask of the points that are such a node (within
+    1e-6 spacings of it).  Index rows of masked-out points are meaningless."""
+    q = points / spacing
+    k = np.rint(q)
+    nodes = k.astype(np.int64) - origin
+    ok = np.all((np.abs(q - k) <= 1e-6) & (nodes >= 0) & (nodes < shape), axis=1)
+    return nodes, ok
+
+
 def grid_measure_on_ball(density, radius, spacing, dim):
     """Grid measure with weights density(x) * spacing^d on nodes |x| <= radius."""
     half = int(np.floor(radius / spacing + 1e-12))
-    axes = [np.arange(-half, half + 1) * spacing] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = _lattice_points(np.full(dim, -half), (2 * half + 1,) * dim, spacing)
     pts = pts[np.linalg.norm(pts, axis=1) <= radius + 1e-12]
     w = np.asarray(density(pts), dtype=float) * spacing**dim
     if np.any(w <= 0):
@@ -42,35 +56,27 @@ def grid_measure_on_ball(density, radius, spacing, dim):
 
 
 def legendre_conjugate(points_from, values_from, points_to):
-    """Discrete Legendre transform g(y) = max_x [<x, y> - f(x)] on point sets.
-
-    Separable across coordinates on product grids; here point sets are small
-    enough for the direct max-plus kernel over flattened supports.
-    """
-    out = np.empty(len(points_to))
-    if points_from.shape[1] == 1:
-        return _kernels.maxplus_transform(
-            np.ascontiguousarray(points_to[:, 0]),
-            np.ascontiguousarray(points_from[:, 0]),
-            np.ascontiguousarray(values_from),
-        )
-    for k, y in enumerate(points_to):
-        out[k] = np.max(points_from @ y - values_from)
-    return out
+    """Discrete Legendre transform g(y) = max_x [<x, y> - f(x)] on point sets
+    of any dimension, through the dense max-plus kernel."""
+    return _kernels.maxplus_transform(points_to, points_from, values_from)
 
 
 class PotentialPair:
-    """Grid-discretized Legendre conjugates (phi, psi) with bound metadata."""
+    """Grid-discretized Legendre conjugates (phi, psi) with bound metadata.
+
+    psi lives on the box of lattice nodes (psi_origin + i) * psi_spacing,
+    i in [0, psi_shape), in row-major order."""
 
     __slots__ = (
         "phi",
         "phi_points",
         "psi",
-        "psi_points",
+        "psi_origin",
+        "psi_shape",
+        "psi_spacing",
         "R",
         "K",
         "duality_value",
-        "psi_spacing",
         "solver_value",
         "solver_gap",
     )
@@ -79,22 +85,19 @@ class PotentialPair:
         for k in self.__slots__:
             setattr(self, k, kw[k])
 
+    @property
+    def psi_points(self):
+        return _lattice_points(self.psi_origin, self.psi_shape, self.psi_spacing)
+
+    def _max_slope(self, values):
+        """Max |difference| / spacing between lattice neighbours."""
+        grid = values.reshape(self.psi_shape)
+        worst = max(np.max(np.abs(np.diff(grid, axis=k)), initial=0.0) for k in range(grid.ndim))
+        return float(worst / self.psi_spacing)
+
     def psi_lipschitz(self):
         """Max discrete slope of psi between neighboring grid nodes."""
-        worst = 0.0
-        pts, vals = self.psi_points, self.psi
-        for k in range(pts.shape[1]):
-            step = np.zeros(pts.shape[1])
-            step[k] = self.psi_spacing
-            target = pts + step
-            idx = _match_points(pts, target)
-            ok = idx >= 0
-            if np.any(ok):
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(vals[idx[ok]] - vals[ok]) / self.psi_spacing)),
-                )
-        return worst
+        return self._max_slope(self.psi)
 
     def q_map(self):
         """q(y) = (1 - e^{-|y|^2 + 2 psi(y)})/2, the K-bounded dual integrand."""
@@ -103,38 +106,7 @@ class PotentialPair:
 
     def q_bound_and_lip(self):
         q = self.q_map()
-        bound = float(np.max(np.abs(q)))
-        worst = 0.0
-        pts = self.psi_points
-        for k in range(pts.shape[1]):
-            step = np.zeros(pts.shape[1])
-            step[k] = self.psi_spacing
-            idx = _match_points(pts, pts + step)
-            ok = idx >= 0
-            if np.any(ok):
-                worst = max(worst, float(np.max(np.abs(q[idx[ok]] - q[ok]) / self.psi_spacing)))
-        return bound, worst
-
-
-def _match_points(points, targets, tol=1e-9):
-    """Index of each target in points (-1 when absent); exact grid matching."""
-    key = {tuple(np.round(p / tol).astype(np.int64)): i for i, p in enumerate(points)}
-    out = np.full(len(targets), -1, dtype=np.int64)
-    for k, t in enumerate(targets):
-        out[k] = key.get(tuple(np.round(t / tol).astype(np.int64)), -1)
-    return out
-
-
-def _box_grid(points, spacing, pad=1):
-    """Regular grid covering the bounding box of the points, padded by nodes."""
-    dim = points.shape[1]
-    axes = []
-    for k in range(dim):
-        lo = int(np.floor(points[:, k].min() / spacing)) - pad
-        hi = int(np.ceil(points[:, k].max() / spacing)) + pad
-        axes.append(np.arange(lo, hi + 1) * spacing)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+        return float(np.max(np.abs(q))), self._max_slope(q)
 
 
 def legendre_pair(nu, mu, cfg, tol=5e-3, radius=None):
@@ -149,26 +121,28 @@ def legendre_pair(nu, mu, cfg, tol=5e-3, radius=None):
         radius = float(np.max(np.linalg.norm(nu.points, axis=1)))
     m = mollify(mu, cfg)
     _ensure_let_fits(len(nu), len(m))
-    sol = solve_let(LetProblem(nu, m, cost_matrix_sq(nu, m)), tol)
+    problem = LetProblem(nu, m, cost_matrix_sq(nu, m))
+    sol = solve_let(problem, tol)
 
     # min-convolution extension of the solver duals, then exact conjugation
     live = np.isfinite(sol.phi1)
-    ypts = m.points[live]
-    phi1 = sol.phi1[live]
-    d2 = cost_matrix_sq(nu, DiscreteMeasure(ypts, np.ones(len(ypts)), dim=m.dim))
-    phi_tilde = np.min(0.5 * d2 - phi1[None, :], axis=1)
+    phi_tilde = np.min(0.5 * problem.cost[:, live] - sol.phi1[live], axis=1)
     phi_raw = 0.5 * np.sum(nu.points**2, axis=1) - phi_tilde
 
-    psi_points = _box_grid(m.points, cfg.spacing, pad=1)
+    # psi lives on the lattice box around T_eps(mu), padded by (at least) one node
+    sp = cfg.spacing
+    origin = np.floor(m.points.min(axis=0) / sp).astype(np.int64) - 1
+    shape = tuple((np.ceil(m.points.max(axis=0) / sp).astype(np.int64) - origin + 2).tolist())
+    psi_points = _lattice_points(origin, shape, sp)
     psi = legendre_conjugate(nu.points, phi_raw, psi_points)
     phi = legendre_conjugate(psi_points, psi, nu.points)
 
-    expo_phi = -np.sum(nu.points**2, axis=1) + 2.0 * phi
-    expo_psi_at_m = None
-    idx = _match_points(psi_points, m.points)
-    if np.any(idx < 0):
+    nodes, ok = _lattice_nodes(m.points, origin, shape, sp)
+    if not ok.all():
         raise RuntimeError("psi grid does not cover the mollified support")
-    expo_psi_at_m = -np.sum(m.points**2, axis=1) + 2.0 * psi[idx]
+    psi_grid = psi.reshape(shape)
+    expo_phi = -np.sum(nu.points**2, axis=1) + 2.0 * phi
+    expo_psi_at_m = -np.sum(m.points**2, axis=1) + 2.0 * psi_grid[tuple(nodes.T)]
     duality_value = float(
         np.sum((1.0 - np.exp(np.minimum(expo_phi, 700.0))) * nu.weights)
         + np.sum((1.0 - np.exp(np.minimum(expo_psi_at_m, 700.0))) * m.weights)
@@ -178,17 +152,17 @@ def legendre_pair(nu, mu, cfg, tol=5e-3, radius=None):
         phi=phi,
         phi_points=nu.points,
         psi=psi,
-        psi_points=psi_points,
+        psi_origin=origin,
+        psi_shape=shape,
+        psi_spacing=sp,
         R=radius,
         K=np.nan,
         duality_value=duality_value,
-        psi_spacing=cfg.spacing,
         solver_value=sol.primal_value,
         solver_gap=sol.gap,
     )
     bound, lip = pair.q_bound_and_lip()
-    psi0 = pair.psi[_match_points(psi_points, np.zeros((1, m.dim)))[0]]
-    pair.K = float(max(psi0, bound, lip))
+    pair.K = float(max(psi_grid[tuple(-origin)], bound, lip))
     return pair
 
 
@@ -199,26 +173,17 @@ def gradient_duality_value(pair, t_mu):
 
     with grad psi by central differences; boundary atoms whose neighbors are
     missing are excluded and their mass reported."""
-    pts, vals, sp = pair.psi_points, pair.psi, pair.psi_spacing
-    dim = pts.shape[1]
-    idx_c = _match_points(pts, t_mu.points)
-    if np.any(idx_c < 0):
+    shape, sp = pair.psi_shape, pair.psi_spacing
+    nodes, ok = _lattice_nodes(t_mu.points, pair.psi_origin, shape, sp)
+    if not ok.all():
         raise ValueError("measure atoms are not on the psi grid")
-    grad = np.zeros((len(t_mu), dim))
-    usable = np.ones(len(t_mu), dtype=bool)
-    for k in range(dim):
-        step = np.zeros(dim)
-        step[k] = sp
-        up = _match_points(pts, t_mu.points + step)
-        dn = _match_points(pts, t_mu.points - step)
-        ok = (up >= 0) & (dn >= 0)
-        usable &= ok
-        grad[ok, k] = (vals[up[ok]] - vals[dn[ok]]) / (2.0 * sp)
+    usable = np.all((nodes > 0) & (nodes < np.array(shape) - 1), axis=1)
+    at = tuple(nodes[usable].T)
+    grid = pair.psi.reshape(shape)
+    g = np.stack([np.gradient(grid, sp, axis=k)[at] for k in range(len(shape))], axis=1)
 
     y = t_mu.points[usable]
-    psi_y = vals[idx_c[usable]]
-    g = grad[usable]
-    e1 = -np.sum(y * y, axis=1) + 2.0 * psi_y
+    e1 = -np.sum(y * y, axis=1) + 2.0 * grid[at]
     disp = np.sum((y - g) ** 2, axis=1)
     term1 = (1.0 - np.exp(np.minimum(e1, 700.0))) ** 2
     term2 = np.exp(np.minimum(2.0 * e1 + disp, 700.0)) - np.exp(np.minimum(2.0 * e1, 700.0))

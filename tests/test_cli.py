@@ -95,7 +95,8 @@ class TestSimulateSample:
         assert main(argv + [str(out1)]) == 0
         assert main(argv + [str(out2)]) == 0
         assert out1.read_text() == out2.read_text()
-        rows = list(csv.reader(out1.open()))
+        with out1.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["t", "x0", "x1", "x2"]
         assert len(rows) == 22
 
@@ -279,7 +280,8 @@ class TestNumericalFailuresExitOne:
     def test_potentials_psi_grid_miss(self, tmp_path, monkeypatch, capsys):
         import hkgeo.potentials as pot
 
-        monkeypatch.setattr(pot, "_match_points", lambda grid, pts: np.full(len(pts), -1))
+        monkeypatch.setattr(pot, "_lattice_nodes",
+                            lambda pts, *box: (np.zeros(pts.shape, np.int64), np.zeros(len(pts), bool)))
         pm = tmp_path / "m.json"
         pm.write_text(json.dumps(measure_to_json(DiscreteMeasure([[0.3]], [0.8]))))
         code = main(["potentials", str(pm), "--radius", "1.0", "--spacing", "0.02",

@@ -85,6 +85,10 @@ def ref_maxplus_transform(xs, ys, psi):
     return np.array([max(x * y - p for y, p in zip(ys, psi)) for x in xs])
 
 
+def ref_maxplus_transform_nd(xs, ys, psi):
+    return np.array([max(sum(a * b for a, b in zip(x, y)) - p for y, p in zip(ys, psi)) for x in xs])
+
+
 def ref_stamp_kernel(idx, w, patch, grid, strides):
     for i in range(len(idx)):
         for k in range(len(strides)):
@@ -134,6 +138,17 @@ class TestBackendsAgree:
         a = ref_maxplus_transform(xs, ys, psi)
         b = _kernels.maxplus_transform(xs, ys, psi)
         assert np.allclose(a, b, atol=1e-12)
+
+    def test_maxplus_2d(self, rng):
+        xs = rng.uniform(-2, 2, (60, 2))
+        ys = rng.uniform(-3, 3, (80, 2))
+        psi = 0.5 * np.sum(ys**2, axis=1) + rng.normal(0, 0.1, len(ys))
+        a = ref_maxplus_transform_nd(xs, ys, psi)
+        b = _kernels.maxplus_transform(xs, ys, psi)
+        assert np.allclose(a, b, atol=1e-12)
+        # a 1-D transform gives the same values from (n,) and (n, 1) arrays
+        assert np.array_equal(_kernels.maxplus_transform(xs[:, :1], ys[:, :1], psi),
+                              _kernels.maxplus_transform(xs[:, 0], ys[:, 0], psi))
 
     def test_stamp(self, rng):
         grid1 = np.zeros(1000)

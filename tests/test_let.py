@@ -4,6 +4,7 @@ import pytest
 from hkgeo.measures import DiscreteMeasure, cost_matrix_sq, dilate, hellinger_sq, wasserstein_sq
 from hkgeo.let import (
     LetProblem,
+    _certificate,
     ghk_sq,
     hk_sq,
     let_problem,
@@ -181,6 +182,30 @@ class TestCertificates:
         assert s.sigma0[0] == pytest.approx(np.sqrt(b / a) * np.exp(-d * d / 2), rel=1e-7)
         assert s.sigma1[0] == pytest.approx(np.sqrt(a / b) * np.exp(-d * d / 2), rel=1e-7)
         assert s.sigma0[0] * s.sigma1[0] == pytest.approx(np.exp(-d * d), rel=1e-7)
+
+    def test_empty_row_with_finite_cell_does_not_cancel(self):
+        # the zero plan of a zero-cost problem has primal value 2 (optimum 0);
+        # its empty row enters the dual at a feasible finite potential, while
+        # a row without any finite cell keeps +inf and its full mass
+        _, _, primal, phi0, phi1, dual = _certificate(np.zeros((1, 1)), np.ones(1), np.ones(1), np.zeros((1, 1)))
+        assert (primal, primal - dual) == (2.0, 2.0)
+        assert np.isfinite(phi0).all() and np.isfinite(phi1).all()
+        _, _, primal, phi0, _, dual = _certificate(np.zeros((2, 1)), np.ones(2), np.ones(1), np.array([[0.0], [np.inf]]))
+        assert (primal, primal - dual) == (3.0, 2.0)
+        assert phi0[0] == 0.0 and phi0[1] == np.inf
+
+    def test_underflowing_atom_gets_a_feasible_potential(self):
+        # ghk costs near 900 from the atom at 30: its optimal mass underflows,
+        # so the plan leaves its row empty, and its potential must still be
+        # dual feasible for the certificate to hold
+        m0 = DiscreteMeasure([[0.0], [0.3], [30.0]], [1.0, 0.5, 0.7])
+        m1 = DiscreteMeasure([[0.1], [0.5]], [0.8, 1.2])
+        p = let_problem(m0, m1, "ghk")
+        s = solve_let(p, TOL)
+        assert s.sigma0[2] == 0.0 and np.isfinite(s.phi0).all()
+        assert s.converged
+        rep = verify_optimality(p, s, 1e-6)
+        assert rep.ok(), rep.as_dict()
 
     def test_dual_feasibility_entrywise(self):
         rng = np.random.default_rng(12)
