@@ -1,4 +1,4 @@
-"""Time each hkgeo kernel at a fixed shape.
+"""Time each hkgeo kernel, and one Newton step of the LET solver, at a fixed shape.
 
 Run:  python benchmarks/bench_kernels.py
 """
@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from hkgeo import _kernels
+from hkgeo import _kernels, let
 
 
 def timeit(fn, *args, repeat=5, warmup=1):
@@ -58,12 +58,25 @@ def bench_stamp(n_atoms=5000, patch=81, grid=200_000):
     return {KEY: timeit(_kernels.stamp_kernel, idx, w, vals, np.zeros(grid), strides)}
 
 
+def bench_schur_step(n0=317, n1=161, eps=1e-3):
+    """One Newton step of the LET solver on a plan spanning 1e-320 to 1, the
+    spread of an entropic plan at eps = 1e-3 (317 x 161 is the 2-D
+    potentials pair of perfbench)."""
+    rng = np.random.default_rng(4)
+    gamma = 10.0 ** rng.uniform(-320, 0, (n0, n1))
+    d_out = rng.uniform(0.2, 2, n0) + gamma.sum(axis=1) / eps
+    d_in = rng.uniform(0.2, 2, n1) + gamma.sum(axis=0) / eps
+    grad_out, grad_in = rng.normal(size=n0), rng.normal(size=n1)
+    return {KEY: timeit(let._schur_step, gamma, d_out, d_in, grad_out, grad_in, eps)}
+
+
 def main():
     benches = {
         "scaling_sweep (200x400, 300 it)": bench_scaling,
         "euler_besq    (2000 x 2000)": bench_euler,
         "maxplus       (2000 x 3000)": bench_maxplus,
         "stamp_kernel  (5000 atoms)": bench_stamp,
+        "schur_step    (317 x 161)": bench_schur_step,
     }
     print(f"{'kernel':36s} {_kernels.BACKEND:>10s}")
     for label, bench in benches.items():

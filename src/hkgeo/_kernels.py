@@ -7,6 +7,7 @@ import numpy as np
 
 __all__ = [
     "BACKEND",
+    "EXP_FLOOR",
     "scaling_sweep",
     "euler_besq_paths",
     "euler_besq_exit",
@@ -17,6 +18,14 @@ __all__ = [
 BACKEND = "numpy"
 
 
+# Floor of the exponent x - max in a log-sum-exp, and of an entropic plan's
+# exponent (let._dual_newton).  np.exp is several times slower below about
+# -708 (and over a hundred times slower where its result is subnormal),
+# while e^-700 < 1e-304 is far below one ulp of a sum whose largest term
+# is 1: a term clamped here, or a plan cell zeroed, cannot change a result.
+EXP_FLOOR = -700.0
+
+
 def scaling_sweep(f, g, logw0, logw1, cost, eps, n_iter, tol):
     """Log-domain scaling updates for the KL-penalized entropy-transport problem.
 
@@ -24,28 +33,46 @@ def scaling_sweep(f, g, logw0, logw1, cost, eps, n_iter, tol):
         f_i <- eps/(1+eps) * (log w0_i - lse_j((g_j - cost_ij)/eps)),
         g_j <- eps/(1+eps) * (log w1_j - lse_i((f_i - cost_ij)/eps)),
     the g update using the new f.  Forbidden cells carry cost = +inf and
-    drop out of the lse.  Returns the number of iterations run and the last
-    max potential change.
+    drop out of the lse; a row (column) without a finite cell gets the
+    potential +inf and drops out of every column's (row's) lse and of the
+    returned change.  Each lse term is divided by the largest one before
+    np.exp, and its exponent is floored at EXP_FLOOR: a floored term, at
+    most e^-700, is below one ulp of the sum, whose largest term is 1.
+    Returns the number of iterations run and the last max potential change.
     """
     lam = 1.0 / (1.0 + eps)
     delta = np.inf
     it = 0
+    m = np.empty_like(cost)
+    g_in = np.where(np.isfinite(g), g, 0.0)  # +inf from an earlier call would make inf - inf
     while it < n_iter and delta > tol:
-        m0 = (g[None, :] - cost) / eps
-        a = np.max(m0, axis=1)
-        a = np.where(np.isfinite(a), a, 0.0)
-        lse0 = a + np.log(np.sum(np.exp(m0 - a[:, None]), axis=1))
+        lse0, live0 = _lse(np.subtract(g_in[None, :], cost, out=m), eps, 1)
         f_new = lam * eps * (logw0 - lse0)
-        m1 = (f_new[:, None] - cost) / eps
-        b = np.max(m1, axis=0)
-        b = np.where(np.isfinite(b), b, 0.0)
-        lse1 = b + np.log(np.sum(np.exp(m1 - b[None, :]), axis=0))
+        lse1, live1 = _lse(np.subtract(f_new[:, None], cost, out=m), eps, 0)
         g_new = lam * eps * (logw1 - lse1)
-        delta = max(np.max(np.abs(f_new - f)), np.max(np.abs(g_new - g)))
+        delta = max(np.abs(f_new - f).max(initial=0.0, where=live0),
+                    np.abs(g_new - g).max(initial=0.0, where=live1))
         f[:] = f_new
-        g[:] = g_new
+        g[:] = g_in = g_new
         it += 1
+    if it:
+        f[~live0] = np.inf
+        g[~live1] = np.inf
     return it, delta
+
+
+def _lse(m, eps, axis):
+    """log sum exp of m / eps along axis, overwriting m, and the mask of the
+    lines with an entry above -inf.  A line without one gets a finite
+    stand-in; its potential becomes +inf when the sweep returns."""
+    m /= eps
+    top = m.max(axis=axis, keepdims=True)
+    live = top > -np.inf
+    top[~live] = 0.0
+    m -= top
+    np.maximum(m, EXP_FLOOR, out=m)
+    np.exp(m, out=m)
+    return (top + np.log(m.sum(axis=axis, keepdims=True))).ravel(), live.ravel()
 
 
 def euler_besq_paths(x0, theta, dt, normals):

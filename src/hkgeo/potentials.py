@@ -129,10 +129,11 @@ def legendre_pair(nu, mu, cfg, tol=5e-3, radius=None):
     phi_tilde = np.min(0.5 * problem.cost[:, live] - sol.phi1[live], axis=1)
     phi_raw = 0.5 * np.sum(nu.points**2, axis=1) - phi_tilde
 
-    # psi lives on the lattice box around T_eps(mu), padded by (at least) one node
+    # psi lives on the lattice box around T_eps(mu), padded by one node
     sp = cfg.spacing
-    origin = np.floor(m.points.min(axis=0) / sp).astype(np.int64) - 1
-    shape = tuple((np.ceil(m.points.max(axis=0) / sp).astype(np.int64) - origin + 2).tolist())
+    index = np.rint(m.points / sp).astype(np.int64)
+    origin = index.min(axis=0) - 1
+    shape = tuple((index.max(axis=0) - origin + 2).tolist())
     psi_points = _lattice_points(origin, shape, sp)
     psi = legendre_conjugate(nu.points, phi_raw, psi_points)
     phi = legendre_conjugate(psi_points, psi, nu.points)

@@ -116,6 +116,46 @@ class TestBackendsAgree:
         assert np.allclose(f1, f2, atol=1e-11)
         assert np.allclose(g1, g2, atol=1e-11)
 
+    def test_scaling_sweep_far_cells(self, rng):
+        # costs U(0, 10) at eps = 1e-2: most exponents lie below -708, where
+        # np.exp slows down or underflows, and some cells are forbidden
+        n0, n1 = 12, 17
+        cost = rng.uniform(0, 10, (n0, n1))
+        cost[rng.uniform(size=cost.shape) < 0.1] = np.inf
+        cost[:, 0] = cost[0, :] = 1.0  # every row and column keeps a finite cell
+        logw0 = np.log(rng.uniform(0.2, 2, n0))
+        logw1 = np.log(rng.uniform(0.2, 2, n1))
+        f1, g1 = np.zeros(n0), np.zeros(n1)
+        f2, g2 = np.zeros(n0), np.zeros(n1)
+        ref_scaling_sweep(f1, g1, logw0, logw1, cost, 1e-2, 30, 0.0)
+        with np.errstate(all="raise"):
+            _kernels.scaling_sweep(f2, g2, logw0, logw1, cost, 1e-2, 30, 0.0)
+        assert np.allclose(f1, f2, rtol=0, atol=1e-11)
+        assert np.allclose(g1, g2, rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_scaling_sweep_forbidden_line(self, rng, transpose):
+        # row 1 (column 1 when transposed) has no finite cell: its potential
+        # is +inf and it drops out of every other line's lse, which matches
+        # the reference on the problem without it; a second call starts from
+        # that +inf
+        cost = rng.uniform(0, 3, (4, 5))
+        cost[1] = np.inf
+        logw0, logw1 = np.log(rng.uniform(0.2, 2, 4)), np.log(rng.uniform(0.2, 2, 5))
+        if transpose:
+            cost, logw0, logw1 = cost.T.copy(), logw1, logw0
+        live = np.isfinite(cost).any(axis=1), np.isfinite(cost).any(axis=0)
+        f, g = np.zeros(cost.shape[0]), np.zeros(cost.shape[1])
+        f1, g1 = np.zeros(live[0].sum()), np.zeros(live[1].sum())
+        for n_iter in (50, 10):
+            with np.errstate(all="raise"):
+                it, delta = _kernels.scaling_sweep(f, g, logw0, logw1, cost, 0.1, n_iter, 0.0)
+            ref_scaling_sweep(f1, g1, logw0[live[0]], logw1[live[1]], cost[np.ix_(*live)], 0.1, n_iter, 0.0)
+            assert it == n_iter and np.isfinite(delta)
+            assert (g if transpose else f)[1] == np.inf
+            assert np.allclose(f[live[0]], f1, rtol=0, atol=1e-11)
+            assert np.allclose(g[live[1]], g1, rtol=0, atol=1e-11)
+
     def test_euler_paths(self, rng):
         normals = rng.standard_normal((50, 200))
         x1, c1 = ref_euler_besq_paths(0.7, 1.3, 1e-3, normals)

@@ -333,6 +333,51 @@ class TestSolverPath:
             # line search found no ascent left
             assert s.iterations <= len(sizes) <= s.iterations + len(s.stats)
 
+    def test_schur_floor_keeps_the_step(self):
+        # a plan spanning 1e-320 to 1: the cells whose row share is below
+        # SCHUR_FLOOR, about two thirds here, leave the step where the
+        # unfloored formula puts it
+        from hkgeo.let import SCHUR_FLOOR, _schur_step
+
+        rng = np.random.default_rng(29)
+        n0, n1, eps = 40, 25, 1e-3
+        gamma = 10.0 ** rng.uniform(-320, 0, (n0, n1))
+        d_out = rng.uniform(0.1, 2.0, n0) + gamma.sum(axis=1) / eps
+        d_in = rng.uniform(0.1, 2.0, n1) + gamma.sum(axis=0) / eps
+        grad_out, grad_in = rng.normal(size=n0), rng.normal(size=n1)
+        assert (gamma < SCHUR_FLOOR * eps * d_out[:, None]).mean() > 0.5
+        step_out, step_in = _schur_step(gamma, d_out, d_in, grad_out, grad_in, eps)
+        p = gamma / (eps * d_out[:, None])
+        ref_in = np.linalg.solve(np.diag(d_in) - gamma.T @ p / eps, grad_in - p.T @ grad_out)
+        ref_out = (grad_out - gamma @ ref_in / eps) / d_out
+        assert np.allclose(step_in, ref_in, rtol=1e-14, atol=0)
+        assert np.allclose(step_out, ref_out, rtol=1e-14, atol=0)
+
+    def test_floors_leave_solves_identical(self, monkeypatch):
+        # the exponent floor and the Schur floor drop up to thousands of cells
+        # per Newton step on these problems, and no output moves
+        from hkgeo import _kernels, let
+        from hkgeo.mollify import MollifierConfig, mollify
+        from hkgeo.potentials import grid_measure_on_ball
+
+        rng = np.random.default_rng(30)
+        m0, m1 = random_measure(rng, 100, scale=1.2), random_measure(rng, 200, scale=1.2)
+        problems = [(let_problem(m0, m1, kind), TOL) for kind in ("ghk", "hk")]
+        nu = grid_measure_on_ball(lambda q: 0.5 + 0.3 * np.exp(-np.sum(q * q, axis=1)), 1.0, 0.01, 1)
+        rng = np.random.default_rng(106)
+        mu = DiscreteMeasure(rng.normal(0, 1.0, (4, 1)), rng.uniform(0.3, 1.5, 4))
+        m = mollify(mu, MollifierConfig(0.4, 0.01, dim=1))
+        problems.append((LetProblem(nu, m, cost_matrix_sq(nu, m)), 5e-3))
+        floored = [solve_let(p, tol) for p, tol in problems]
+        monkeypatch.setattr(_kernels, "EXP_FLOOR", -np.inf)
+        monkeypatch.setattr(let, "SCHUR_FLOOR", 0.0)
+        for (p, tol), s in zip(problems, floored):
+            u = solve_let(p, tol)
+            assert u.stats == s.stats
+            assert (u.primal_value, u.dual_value, u.gap) == (s.primal_value, s.dual_value, s.gap)
+            for name in ("plan", "sigma0", "sigma1", "phi0", "phi1"):
+                assert np.array_equal(getattr(u, name), getattr(s, name))
+
     def test_stats_add_up(self):
         rng = np.random.default_rng(24)
         for _ in range(10):

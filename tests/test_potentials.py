@@ -207,6 +207,20 @@ class TestLatticeLookup:
             gradient_duality_value(pp, shifted)
 
 
+class TestPsiBox:
+    @pytest.mark.parametrize("h, atoms", [(0.1, (-3, 2)), (0.01, (-18, -5, 17))])
+    def test_box_pads_the_index_range_by_one_node(self, h, atoms):
+        # i * h / h misses i by an ulp for some i (here at the ends of
+        # T_eps(mu)); the box still pads the integer index range by exactly one
+        nu = grid_measure_on_ball(lambda p: np.ones(len(p)), R, h, 1)
+        cfg = MollifierConfig(EPS, h, dim=1)
+        mu = DiscreteMeasure(np.array(atoms, dtype=float)[:, None] * h, np.ones(len(atoms)))
+        index = np.rint(mollify(mu, cfg).points / h).astype(np.int64)
+        pp = legendre_pair(nu, mu, cfg)
+        assert pp.psi_origin.tolist() == (index.min(axis=0) - 1).tolist()
+        assert pp.psi_shape == tuple((index.max(axis=0) - index.min(axis=0) + 3).tolist())
+
+
 class TestGridMeasure:
     def test_positive_density_required(self):
         with pytest.raises(ValueError):
