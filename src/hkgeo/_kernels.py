@@ -75,6 +75,12 @@ def _lse(m, eps, axis):
     return (top + np.log(m.sum(axis=axis, keepdims=True))).ravel(), live.ravel()
 
 
+def _euler_step(x, theta, sq, dt, z):
+    """One full-truncation Euler step for dx = sqrt(2 x^+) dW + theta dt,
+    before the clip at 0; sq = sqrt(dt), z standard normals."""
+    return x + np.sqrt(2.0 * np.maximum(x, 0.0)) * sq * z + theta * dt
+
+
 def euler_besq_paths(x0, theta, dt, normals):
     """Full-truncation Euler for dx = sqrt(2 x^+) dW + theta dt.
 
@@ -87,8 +93,7 @@ def euler_besq_paths(x0, theta, dt, normals):
     sq = np.sqrt(dt)
     clipped = 0
     for n in range(n_steps):
-        xn = x[:, n]
-        step = xn + np.sqrt(2.0 * np.maximum(xn, 0.0)) * sq * normals[:, n] + theta * dt
+        step = _euler_step(x[:, n], theta, sq, dt, normals[:, n])
         clipped += int(np.sum(step < 0.0))
         x[:, n + 1] = np.maximum(step, 0.0)
     return x, clipped / float(n_paths * n_steps)
@@ -101,21 +106,17 @@ def euler_besq_exit(x0, theta, a, b, dt, normals):
     n_paths, n_steps = normals.shape
     out = np.full(n_paths, -1, dtype=np.int64)
     x = np.array(x0, dtype=float).copy()
-    alive = np.ones(n_paths, dtype=bool)
+    idx = np.arange(n_paths)  # the paths still inside (a, b)
     sq = np.sqrt(dt)
     for n in range(n_steps):
-        if not np.any(alive):
+        if not len(idx):
             break
-        xa = x[alive]
-        xa = xa + np.sqrt(2.0 * np.maximum(xa, 0.0)) * sq * normals[alive, n] + theta * dt
-        xa = np.maximum(xa, 0.0)
-        x[alive] = xa
-        idx = np.flatnonzero(alive)
+        x[idx] = xa = np.maximum(_euler_step(x[idx], theta, sq, dt, normals[idx, n]), 0.0)
         hit_a = xa <= a
         hit_b = xa >= b
         out[idx[hit_a]] = 0
         out[idx[hit_b]] = 1
-        alive[idx[hit_a | hit_b]] = False
+        idx = idx[~(hit_a | hit_b)]
     return out, x
 
 

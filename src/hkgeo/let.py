@@ -17,7 +17,7 @@ from scipy.optimize import minimize
 from scipy.special import xlogy
 
 from . import _kernels
-from .cone import ConePoint, let_cost
+from .cone import let_cost
 from .measures import DiscreteMeasure, _ensure_fits, cost_matrix_sq, dilate, hellinger_sq, wasserstein_sq
 
 __all__ = [
@@ -494,59 +494,59 @@ def verify_optimality(problem, sol, tol=1e-6):
 
 
 class ConePlan:
-    """Weighted pairs of cone points whose 2-homogeneous marginals are the inputs."""
+    """Weighted pairs of cone points whose 2-homogeneous marginals are the inputs.
 
-    __slots__ = ("pairs", "dim")
+    Row k of the aligned arrays pairs [base0[k], radius0[k]] with
+    [base1[k], radius1[k]] (bases (m, dim), the rest (m,)) at plan weight
+    weight[k]; exp_half_cost[k] = e^{-cost/2} is the cosine factor of the
+    pair's cone distance.  A vertex has radius 0 and base at the origin.
+    """
 
-    def __init__(self, pairs, dim):
-        self.pairs = pairs  # list of (ConePoint, ConePoint, weight, exp_half_cost)
-        self.dim = dim
+    __slots__ = ("base0", "radius0", "base1", "radius1", "weight", "exp_half_cost", "dim")
+
+    def __init__(self, **kw):
+        for k in self.__slots__:
+            setattr(self, k, kw[k])
 
     def homogeneous_marginals(self):
-        pts0, w0, pts1, w1 = [], [], [], []
-        for p0, p1, w, _ in self.pairs:
-            if p0.radius > 0:
-                pts0.append(p0.base)
-                w0.append(w * p0.radius**2)
-            if p1.radius > 0:
-                pts1.append(p1.base)
-                w1.append(w * p1.radius**2)
-        zero = np.empty((0, self.dim))
-        m0 = DiscreteMeasure(np.array(pts0) if pts0 else zero, w0, dim=self.dim)
-        m1 = DiscreteMeasure(np.array(pts1) if pts1 else zero, w1, dim=self.dim)
-        return m0, m1
+        """sum_k weight_k r_k^2 delta_{base_k} on each side, vertices left out.
+        np.float_power squares through C pow, as Python's r ** 2 does (r * r
+        rounds differently for about one radius in a thousand)."""
+        return tuple(
+            DiscreteMeasure(base[r > 0], self.weight[r > 0] * np.float_power(r[r > 0], 2), dim=self.dim)
+            for base, r in ((self.base0, self.radius0), (self.base1, self.radius1))
+        )
 
     def cone_cost(self):
-        total = 0.0
-        for p0, p1, w, eh in self.pairs:
-            r, s = p0.radius, p1.radius
-            total += w * (r * r + s * s - 2.0 * r * s * eh)
-        return total
+        """sum_k weight_k (r_k^2 + s_k^2 - 2 r_k s_k exp_half_cost_k): the LET value."""
+        r, s = self.radius0, self.radius1
+        return float(np.sum(self.weight * (r * r + s * s - 2.0 * r * s * self.exp_half_cost)))
 
 
 def lift_to_cone(problem, sol):
     """Cone plan alpha = ([x, sigma0^{-1/2}], [y, sigma1^{-1/2}]) weighted by
-    the plan, plus vertex pairs carrying the mass of fully-killed atoms."""
-    mu0, mu1, cost = problem.mu0, problem.mu1, problem.cost
-    gamma = sol.plan
-    pairs = []
-    for i, j in np.argwhere(gamma > 0):
-        if sol.sigma0[i] <= 0 or sol.sigma1[j] <= 0:
-            raise ValueError(f"zero marginal density on charged cell ({i}, {j})")
-        pairs.append(
-            (
-                ConePoint(mu0.points[i], 1.0 / np.sqrt(sol.sigma0[i])),
-                ConePoint(mu1.points[j], 1.0 / np.sqrt(sol.sigma1[j])),
-                float(gamma[i, j]),
-                float(np.exp(-0.5 * min(cost[i, j], 1400.0))),
-            )
-        )
-    vertex = ConePoint(np.zeros(mu0.dim), 0.0)
-    for i in np.flatnonzero(sol.sigma0 <= 0):
-        pairs.append((ConePoint(mu0.points[i], 1.0), vertex, float(mu0.weights[i]), 0.0))
-    for j in np.flatnonzero(sol.sigma1 <= 0):
-        pairs.append((vertex, ConePoint(mu1.points[j], 1.0), float(mu1.weights[j]), 0.0))
-    return ConePlan(pairs, mu0.dim)
+    the plan, plus vertex pairs carrying the mass of fully-killed atoms.
+    Rows: charged cells in row-major order, then killed atoms of mu0, then
+    killed atoms of mu1."""
+    mu0, mu1, dim = problem.mu0, problem.mu1, problem.mu0.dim
+    s0, s1 = sol.sigma0, sol.sigma1
+    i, j = np.nonzero(sol.plan > 0)
+    dead = (s0[i] <= 0) | (s1[j] <= 0)
+    if dead.any():
+        k = np.argmax(dead)
+        raise ValueError(f"zero marginal density on charged cell ({i[k]}, {j[k]})")
+    k0 = np.flatnonzero(s0 <= 0)
+    k1 = np.flatnonzero(s1 <= 0)
+    n0, n1 = len(k0), len(k1)
+    return ConePlan(
+        base0=np.concatenate([mu0.points[i], mu0.points[k0], np.zeros((n1, dim))]),
+        radius0=np.concatenate([1.0 / np.sqrt(s0[i]), np.ones(n0), np.zeros(n1)]),
+        base1=np.concatenate([mu1.points[j], np.zeros((n0, dim)), mu1.points[k1]]),
+        radius1=np.concatenate([1.0 / np.sqrt(s1[j]), np.zeros(n0), np.ones(n1)]),
+        weight=np.concatenate([sol.plan[i, j], mu0.weights[k0], mu1.weights[k1]]),
+        exp_half_cost=np.concatenate([np.exp(-0.5 * np.minimum(problem.cost[i, j], 1400.0)), np.zeros(n0 + n1)]),
+        dim=dim,
+    )
 
 
 def limit_diagnostics(mu0, mu1, lam_grid, tol=1e-9):

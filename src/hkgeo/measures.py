@@ -114,12 +114,14 @@ def _lexorder(points):
 
 
 def _merge_atoms(points, weights):
+    """Distinct points in lexicographic order and the summed weights, of
+    shape (n,) or (n, k), of the atoms at each."""
     order = _lexorder(points)
     points, weights = points[order], weights[order]
     new = np.ones(len(points), dtype=bool)
     new[1:] = np.any(points[1:] != points[:-1], axis=1)
     groups = np.cumsum(new) - 1
-    merged_w = np.zeros(groups[-1] + 1)
+    merged_w = np.zeros((groups[-1] + 1,) + weights.shape[1:])
     np.add.at(merged_w, groups, weights)
     return points[new], merged_w
 
@@ -150,17 +152,10 @@ def hellinger_sq(mu0, mu1):
     if mu0.is_zero() and mu1.is_zero():
         return 0.0
     pts = np.concatenate([mu0.points, mu1.points], axis=0)
-    w0 = np.concatenate([mu0.weights, np.zeros(len(mu1))])
-    w1 = np.concatenate([np.zeros(len(mu0)), mu1.weights])
-    order = _lexorder(pts)
-    pts, w0, w1 = pts[order], w0[order], w1[order]
-    new = np.ones(len(pts), dtype=bool)
-    new[1:] = np.any(pts[1:] != pts[:-1], axis=1)
-    groups = np.cumsum(new) - 1
-    a = np.zeros(groups[-1] + 1)
-    b = np.zeros(groups[-1] + 1)
-    np.add.at(a, groups, w0)
-    np.add.at(b, groups, w1)
+    w = np.zeros((len(pts), 2))
+    w[: len(mu0), 0] = mu0.weights
+    w[len(mu0) :, 1] = mu1.weights
+    a, b = _merge_atoms(pts, w)[1].T
     return float(np.sum((np.sqrt(a) - np.sqrt(b)) ** 2))
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import _kernels
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _ensure_fits
 
 __all__ = [
     "MollifierConfig",
@@ -50,11 +50,6 @@ def kappa(x, dim=None):
     return kernel_normalization(dim) * _bump_profile(r)
 
 
-def _smoothstep(u):
-    u = np.clip(u, 0.0, 1.0)
-    return u * u * (3.0 - 2.0 * u)
-
-
 def retraction_profile(r):
     """Radial profile rho: rho(r) = r on [0,1], slope <= 1 throughout,
     rho = 2 beyond r = 3 (rho' = 1 - smoothstep((r-1)/2) in between)."""
@@ -83,24 +78,17 @@ class MollifierConfig:
 
     __slots__ = ("eps", "spacing", "dim", "half_nodes")
 
-    def __init__(self, eps, spacing, dim, cover_radius=None):
+    def __init__(self, eps, spacing, dim):
         if not 0.0 < eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
         if spacing <= 0 or spacing > eps / 4 + 1e-15:
             raise ValueError("grid spacing must be positive and <= eps/4")
         if dim not in (1, 2, 3):
             raise ValueError("mollifier supports dim in {1, 2, 3}")
-        if cover_radius is None:
-            cover_radius = 2.0 / eps + eps
-        half = int(np.ceil(cover_radius / spacing)) + 1
         self.eps = float(eps)
         self.spacing = float(spacing)
         self.dim = int(dim)
-        self.half_nodes = half
-
-    @property
-    def cover_radius(self):
-        return self.half_nodes * self.spacing
+        self.half_nodes = int(np.ceil((2.0 / eps + eps) / spacing)) + 1
 
     def kernel_patch(self):
         """Sampled kernel on grid offsets inside the eps-ball, summing to 1."""
@@ -120,19 +108,28 @@ def mollify(mu, cfg):
     if mu.dim != cfg.dim:
         raise ValueError("measure dimension does not match mollifier grid")
     eps, sp = cfg.eps, cfg.spacing
+    n = 2 * cfg.half_nodes + 1
+    nodes = n**cfg.dim
+    # Refuse, before allocating, a call that does not fit in free memory: the
+    # grid, plus (atoms + 1) patches of at most `box` nodes stamped and turned
+    # into output atoms.  tracemalloc peaks were 0.18-0.98 of this count on
+    # 1-, 2- and 3-D measures of 0 to 20,000 atoms.
+    box = (2 * int(np.floor(eps / sp)) + 1) ** cfg.dim
+    stamped = (len(mu) + 1) * box
+    floats = nodes + 3 * stamped + 8 * (cfg.dim + 1) * min(stamped, nodes)
+    _ensure_fits(floats, f"a mollifier grid of {n}^{cfg.dim} nodes")
+
+    # |retraction| <= 2, so |idx| + floor(eps / sp) <= half_nodes on every
+    # axis: each patch lands inside the grid.
     pts = retraction(eps * mu.points) / eps if len(mu) else np.empty((0, cfg.dim))
     pts = np.concatenate([pts, np.zeros((1, cfg.dim))], axis=0)
     w = np.concatenate([mu.weights, [eps]])
     idx = np.rint(pts / sp).astype(np.int64)
-    if np.any(np.abs(idx) + int(np.floor(eps / sp)) > cfg.half_nodes):
-        raise ValueError("grid does not cover the mollified support")
-
-    n = 2 * cfg.half_nodes + 1
     offsets, patch = cfg.kernel_patch()
     strides = np.array([n**k for k in range(cfg.dim - 1, -1, -1)], dtype=np.int64)
     flat_centers = (idx + cfg.half_nodes) @ strides
     flat_offsets = offsets @ strides
-    grid = np.zeros(n**cfg.dim)
+    grid = np.zeros(nodes)
     _kernels.stamp_kernel(flat_centers, w, patch, grid, flat_offsets)
 
     nz = np.flatnonzero(grid)

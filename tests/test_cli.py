@@ -186,6 +186,18 @@ class TestMollifyPotentials:
         assert (tmp_path / "pot.phi.csv").exists()
         assert (tmp_path / "pot.psi.csv").exists()
 
+    def test_mollify_too_big_for_memory_exits_one(self, tmp_path, monkeypatch, capsys):
+        import hkgeo.measures as ms
+
+        monkeypatch.setattr(ms, "_available_bytes", lambda: 1_000_000)
+        pm = tmp_path / "m.json"
+        pm.write_text(json.dumps(measure_to_json(DiscreteMeasure([[0.1, -0.2], [0.3, 0.2]], [0.8, 1.1]))))
+        out = tmp_path / "grid.json"
+        assert main(["mollify", str(pm), "--eps", "0.4", "--spacing", "0.01", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "mollifier grid" in err and "bytes" in err
+        assert not out.exists()
+
     def test_dense_2d_potentials_at_defaults_refused(self, tmp_path, monkeypatch, capsys):
         # at the defaults (radius 1, spacing 0.01) the dense 2-D problem is
         # about 31,000 x 20,000 cells; it is refused before the cost is built

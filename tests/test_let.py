@@ -434,6 +434,44 @@ class TestSolverPath:
             let_problem(m0, m1, "ghk")
 
 
+def ref_lift_rows(problem, sol):
+    """Per-cell reference for lift_to_cone: one (base0, radius0, base1,
+    radius1, weight, exp_half_cost) tuple per pair, in the lift's row order."""
+    mu0, mu1, gamma = problem.mu0, problem.mu1, sol.plan
+    rows = []
+    for i, j in np.argwhere(gamma > 0):
+        if sol.sigma0[i] <= 0 or sol.sigma1[j] <= 0:
+            raise ValueError(f"zero marginal density on charged cell ({i}, {j})")
+        rows.append((
+            mu0.points[i], float(1.0 / np.sqrt(sol.sigma0[i])),
+            mu1.points[j], float(1.0 / np.sqrt(sol.sigma1[j])),
+            float(gamma[i, j]), float(np.exp(-0.5 * min(problem.cost[i, j], 1400.0))),
+        ))
+    vertex = np.zeros(mu0.dim)
+    for i in np.flatnonzero(sol.sigma0 <= 0):
+        rows.append((mu0.points[i], 1.0, vertex, 0.0, float(mu0.weights[i]), 0.0))
+    for j in np.flatnonzero(sol.sigma1 <= 0):
+        rows.append((vertex, 0.0, mu1.points[j], 1.0, float(mu1.weights[j]), 0.0))
+    return rows
+
+
+def ref_marginals_and_cost(rows, dim):
+    pts0, w0, pts1, w1 = [], [], [], []
+    total = 0.0
+    for b0, r, b1, s, w, eh in rows:
+        if r > 0:
+            pts0.append(b0)
+            w0.append(w * r**2)
+        if s > 0:
+            pts1.append(b1)
+            w1.append(w * s**2)
+        total += w * (r * r + s * s - 2.0 * r * s * eh)
+    zero = np.empty((0, dim))
+    m0 = DiscreteMeasure(np.array(pts0) if pts0 else zero, w0, dim=dim)
+    m1 = DiscreteMeasure(np.array(pts1) if pts1 else zero, w1, dim=dim)
+    return m0, m1, total
+
+
 class TestConeLift:
     def test_marginals_and_cost(self):
         rng = np.random.default_rng(13)
@@ -448,22 +486,63 @@ class TestConeLift:
             assert h1.allclose(m1, atol=1e-8)
             assert cp.cone_cost() == pytest.approx(s.primal_value, abs=1e-8 * (1 + abs(s.primal_value)))
 
+    def test_matches_per_pair_reference(self):
+        rng = np.random.default_rng(31)
+        far = lambda x: DiscreteMeasure([[x, 0.0]], [rng.uniform(0.1, 2.0)])
+        problems = [(DiscreteMeasure([[0.0, 0.0]], [1.0]), DiscreteMeasure([[3.0, 0.0]], [2.0]), "hk")]
+        for _ in range(4):
+            m0, m1 = random_measure(rng, rng.integers(1, 9)), random_measure(rng, rng.integers(1, 9))
+            problems += [(m0, m1, "ghk"), (m0, m1, "hk")]
+            # atoms 10 away from every atom of the other side are killed under hk
+            k0, k1 = far(10.0), far(-10.0)
+            problems.append((DiscreteMeasure(np.vstack([m0.points, k0.points]), np.r_[m0.weights, k0.weights]),
+                             DiscreteMeasure(np.vstack([m1.points, k1.points]), np.r_[m1.weights, k1.weights]), "hk"))
+        fields = ("base0", "radius0", "base1", "radius1", "weight", "exp_half_cost")
+        n_vertex = 0
+        for m0, m1, kind in problems:
+            p = let_problem(m0, m1, kind)
+            s = solve_let(p, TOL)
+            cp = lift_to_cone(p, s)
+            rows = ref_lift_rows(p, s)
+            for k, name in enumerate(fields):
+                want = np.array([row[k] for row in rows])
+                if name.startswith("base"):
+                    want = want.reshape(-1, 2)
+                got = getattr(cp, name)
+                assert got.shape == want.shape and np.array_equal(got, want), name
+            n_vertex += int(np.sum((cp.radius0 == 0) | (cp.radius1 == 0)))
+            r0, r1, cost = ref_marginals_and_cost(rows, 2)
+            for got, want in zip(cp.homogeneous_marginals(), (r0, r1)):
+                assert np.array_equal(got.points, want.points) and np.array_equal(got.weights, want.weights)
+            assert cp.cone_cost() == pytest.approx(cost, rel=1e-14, abs=0.0)
+        assert n_vertex >= 10
+
+    def test_zero_density_on_charged_cell_refused(self):
+        rng = np.random.default_rng(32)
+        p = let_problem(random_measure(rng, 3), random_measure(rng, 4), "ghk")
+        s = solve_let(p, TOL)
+        i = 1
+        s.sigma0 = s.sigma0.copy()
+        s.sigma0[i] = 0.0
+        j = np.flatnonzero(s.plan[i] > 0)[0]
+        with pytest.raises(ValueError, match=rf"zero marginal density on charged cell \({i}, {j}\)"):
+            lift_to_cone(p, s)
+
     def test_single_atom_radii(self):
         a, b, d = 0.8, 1.9, 0.5
         p = let_problem(dirac(0.0, a), dirac(d, b), "ghk")
         s = solve_let(p, TOL)
         cp = lift_to_cone(p, s)
-        assert len(cp.pairs) == 1
-        p0, p1, w, _ = cp.pairs[0]
-        assert p0.radius == pytest.approx(1 / np.sqrt(s.sigma0[0]))
-        assert p1.radius == pytest.approx(1 / np.sqrt(s.sigma1[0]))
+        assert len(cp.weight) == 1
+        assert cp.radius0[0] == pytest.approx(1 / np.sqrt(s.sigma0[0]))
+        assert cp.radius1[0] == pytest.approx(1 / np.sqrt(s.sigma1[0]))
 
     def test_killed_atoms_become_vertex_pairs(self):
         # far-apart single atoms under HK: plan empty, two vertex pairs
         p = let_problem(dirac(0.0, 1.0), dirac(3.0, 2.0), "hk")
         s = solve_let(p, TOL)
         cp = lift_to_cone(p, s)
-        assert len(cp.pairs) == 2
+        assert len(cp.weight) == 2
         h0, h1 = cp.homogeneous_marginals()
         assert h0.mass == pytest.approx(1.0)
         assert h1.mass == pytest.approx(2.0)

@@ -82,6 +82,11 @@ class TestHellinger:
         a = DiscreteMeasure([[1.0]], [4.0])
         b = DiscreteMeasure([[1.0]], [1.0])
         assert hellinger_sq(a, b) == pytest.approx(1.0)
+        # three shared atoms, one on each side only:
+        # (2 - 3)^2 + (1 - 3)^2 + (3 - 1)^2 + 1 + 2.5
+        a = DiscreteMeasure([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0], [5.0, 5.0]], [4.0, 1.0, 9.0, 1.0])
+        b = DiscreteMeasure([[1.0, 1.0], [2.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], [1.0, 9.0, 9.0, 2.5])
+        assert hellinger_sq(a, b) == pytest.approx(12.5, rel=1e-15)
 
     def test_mutually_singular(self):
         a = DiscreteMeasure([[0.0]], [1.7])

@@ -96,6 +96,40 @@ class TestMollify:
         with pytest.raises(ValueError):
             MollifierConfig(1.2, 0.1, dim=1)
 
+    def test_far_atoms_stay_on_the_grid(self):
+        # The retraction keeps |f(eps x)/eps| <= 2/eps on each axis, a patch
+        # adds floor(eps/h) nodes, and half_nodes = ceil((2/eps + eps)/h) + 1:
+        # every patch, even of an atom at |x| = 1e9, lands inside the grid.
+        rng = np.random.default_rng(5)
+        grids = {1: [(0.4, 4), (0.4, 7), (0.13, 4.3), (0.13, 40)],
+                 2: [(0.4, 4), (0.4, 10), (0.13, 4), (0.13, 5.5)],
+                 3: [(0.4, 4), (0.4, 4.7), (0.8, 4), (0.8, 6)]}
+        for dim, eps_steps in grids.items():
+            dirs = rng.normal(size=(4, dim))
+            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+            pts = np.concatenate([1e9 * np.eye(dim), -1e9 * np.eye(dim), 1e9 * dirs,
+                                  10.0 ** rng.uniform(0, 9, (4, 1)) * dirs, rng.normal(0, 1, (2, dim))])
+            mu = DiscreteMeasure(pts, rng.uniform(0.2, 2.0, len(pts)))
+            for eps, step in eps_steps:
+                cfg = MollifierConfig(eps, eps / step, dim=dim)
+                out = mollify(mu, cfg)
+                assert out.mass == pytest.approx(mu.mass + eps, rel=1e-12)
+                nodes = np.rint(out.points / cfg.spacing).astype(np.int64)
+                assert np.abs(nodes).max() <= cfg.half_nodes
+                # no patch wrapped round the grid: each node is a patch node
+                # of a binned atom or of the origin
+                centres = np.rint(retraction(eps * np.vstack([pts, np.zeros(dim)])) / eps / cfg.spacing)
+                reach = np.abs(nodes[:, None, :] - centres[None, :, :]).max(axis=2).min(axis=1)
+                assert reach.max() <= np.floor(eps / cfg.spacing)
+
+    def test_grid_too_big_for_memory_refused(self, monkeypatch):
+        from hkgeo import measures
+
+        monkeypatch.setattr(measures, "_available_bytes", lambda: 1_000_000)
+        cfg = MollifierConfig(0.4, 0.01, dim=2)  # 1,083^2 nodes, 9.4 MB
+        with pytest.raises(ValueError, match="mollifier grid.*bytes"):
+            mollify(DiscreteMeasure([[0.1, -0.2], [0.3, 0.2]], [0.8, 1.1]), cfg)
+
     def test_zero_measure_gives_eps_bump(self):
         eps = 0.2
         cfg = MollifierConfig(eps, eps / 4, dim=1)
