@@ -67,20 +67,14 @@ from .randmeas import (
     invariance_checks,
     mecke_check_df,
     mecke_check_mlp,
-    sample_df,
-    sample_gamma_measure,
-    sample_lambda_window,
-    sample_mlp,
 )
 from .bessel import (
-    BesselPath,
     dirichlet_form_mc,
     generator_symmetry,
     hitting_prob,
     hyp0f1,
     quadrature_E,
     radial_form_mc,
-    simulate_besq,
 )
 
 __version__ = "0.1.0"

@@ -19,8 +19,6 @@ from .cylinders import CylinderFunction, OuterFunction, gradient, one_kernel
 from .randmeas import lambda_window_mass, mlp_window_batch
 
 __all__ = [
-    "BesselPath",
-    "simulate_besq",
     "simulate_besq_batch",
     "besq_exact_terminal",
     "hitting_prob",
@@ -33,39 +31,15 @@ __all__ = [
     "radial_form_mc",
     "dirichlet_form_mc",
     "RadialTestFunction",
+    "smooth_bump_radial",
 ]
 
 
-class BesselPath:
-    """Time grid and state trajectory of one squared-Bessel path."""
-
-    __slots__ = ("t_grid", "x", "theta", "scheme", "clipped_fraction")
-
-    def __init__(self, t_grid, x, theta, scheme, clipped_fraction=0.0):
-        t_grid = np.asarray(t_grid, dtype=float)
-        x = np.asarray(x, dtype=float)
-        if t_grid.shape != x.shape:
-            raise ValueError("t_grid and x must have equal length")
-        if t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
-            raise ValueError("t_grid must strictly increase from 0")
-        if np.any(x < 0):
-            raise ValueError("squared-Bessel states must be >= 0")
-        self.t_grid = t_grid
-        self.x = x
-        self.theta = float(theta)
-        self.scheme = scheme
-        self.clipped_fraction = float(clipped_fraction)
-
-
-def simulate_besq(theta, x0, T, dt, rng):
-    """One full-truncation Euler path: x <- max(x + sqrt(2 x^+) dW + theta dt, 0)."""
-    paths, t_grid, clipped = simulate_besq_batch(theta, x0, T, dt, rng, n_paths=1)
-    return BesselPath(t_grid, paths[0], theta, "euler-full-truncation", clipped)
-
-
 def simulate_besq_batch(theta, x0, T, dt, rng, n_paths):
-    """Euler paths as an (n_paths, n_steps + 1) array plus the time grid and
-    the fraction of clipped steps (vanishes as dt -> 0 for x0 > 0, theta >= 1)."""
+    """Full-truncation Euler paths x <- max(x + sqrt(2 x^+) dW + theta dt, 0)
+    as an (n_paths, n_steps + 1) array of states >= 0, plus the time grid
+    k dt, k = 0..n_steps, and the fraction of clipped steps (vanishes as
+    dt -> 0 for x0 > 0, theta >= 1)."""
     if theta < 0 or x0 < 0:
         raise ValueError("theta and x0 must be >= 0")
     if dt <= 0 or dt > T / 10:
@@ -262,7 +236,7 @@ def _form_values(u, params, window, n, rng_seed):
     """Per-sample sum_j w_j (|hor_j|^2 + 4 ver_j^2) of u over the
     mass-windowed multiplicative Lebesgue law (one batched gradient call),
     and the largest horizontal component."""
-    mu = mlp_window_batch(params, window, n, rng_seed).measures
+    mu = mlp_window_batch(params, window, n, rng_seed)
     hor, ver = gradient(u, mu)
     vals = mu.row_sums(mu.atom_weights * (np.sum(hor * hor, axis=1) + 4.0 * ver**2))
     return vals, float(np.abs(hor).max(initial=0.0))

@@ -263,6 +263,8 @@ def cmd_simulate_besq(args):
 def cmd_sample(args):
     params = IntensityParams(args.theta, dim=args.dim)
     window = _parse_window(args.window) if args.window else None
+    if window is not None and args.law != "mlp":
+        raise ValueError(f"--window applies to mlp only; {args.law} samples are not windowed")
     if args.law == "df":
         batch = df_batch(params, args.beta, args.n, args.seed)
     elif args.law == "gamma":
@@ -270,7 +272,7 @@ def cmd_sample(args):
     elif args.law == "mlp":
         if window is None:
             raise ValueError("sample mlp requires --window a,b")
-        batch = mlp_window_batch(params, window, args.n, args.seed).measures
+        batch = mlp_window_batch(params, window, args.n, args.seed)
     else:
         raise ValueError(f"unknown law {args.law!r}")
     # each law is sampled directly, so every record has importance weight 1
@@ -370,6 +372,8 @@ def _suite_mecke_df(args):
             "name": "F=t rhs equals 1/(1+beta)",
             "value": reports[0].rhs,
             "target": closed,
+            "se": reports[0].se_rhs,
+            "n": reports[0].n,
             "pass": bool(abs(reports[0].rhs - closed) <= 3 * reports[0].se_rhs),
         }
     )
@@ -397,6 +401,8 @@ def _suite_invariance(args):
             "name": "estimate_intensity theta",
             "value": est["theta_hat"],
             "target": args.theta,
+            "se": est["theta_se"],
+            "n": len(batch),
             "pass": bool(abs(est["theta_hat"] - args.theta) <= 3 * est["theta_se"]),
         }
     )
@@ -461,6 +467,8 @@ def _suite_bessel(args):
             "name": "mean",
             "value": float(xT.mean()),
             "target": x0 + theta * T,
+            "se": se,
+            "n": n,
             "pass": bool(abs(xT.mean() - (x0 + theta * T)) <= 3 * se),
         }
     )
@@ -471,6 +479,8 @@ def _suite_bessel(args):
             "name": "variance",
             "value": float(var),
             "target": 2 * x0 * T + theta * T**2,
+            "se": se_var,
+            "n": n,
             "pass": bool(abs(var - (2 * x0 * T + theta * T**2)) <= 3 * se_var),
         }
     )
@@ -484,6 +494,8 @@ def _suite_bessel(args):
                 "name": f"hitting theta={th}",
                 "value": p_hat,
                 "target": p,
+                "se": se_p,
+                "n": res["n"],
                 "pass": bool(abs(p_hat - p) <= 3 * se_p + 0.01),
             }
         )
@@ -511,6 +523,7 @@ def _suite_radial_iso(args):
             "mc": res["mc"],
             "quad": res["quad"],
             "se": res["se"],
+            "n": res["n"],
             "pass": bool(abs(res["mc"] - res["quad"]) <= 3 * res["se"]),
         },
         {

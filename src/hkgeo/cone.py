@@ -21,9 +21,6 @@ class ConePoint:
     def __setattr__(self, *a):
         raise AttributeError("ConePoint is immutable")
 
-    def is_vertex(self):
-        return self.radius == 0.0
-
     def __eq__(self, other):
         if self.radius == 0.0 and other.radius == 0.0:
             return True

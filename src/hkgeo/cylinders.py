@@ -17,15 +17,21 @@ from .randmeas import MeasureBatch
 __all__ = [
     "ScalarField",
     "OuterFunction",
+    "sum_outer",
+    "poly_outer",
     "CylinderFunction",
     "evaluate",
     "gradient",
     "tangent_norm_14",
+    "tangent_pairing",
     "perturbation_derivative",
     "slope_probe",
+    "analytic_slope",
     "truncation",
     "truncation_profile",
+    "truncation_profile_prime",
     "linear_lip_bound",
+    "linear_cylinder",
     "multiply",
     "compose",
     "perturb_measure",
@@ -39,40 +45,36 @@ __all__ = [
 
 
 class ScalarField:
-    """Inner kernel: plain f(x) or extended f(s, x) with its derivatives.
+    """Inner kernel: plain f(x), or extended f(s, x) when the mass
+    derivative ds(s, x) is given, with its derivatives.
 
     Evaluators are vectorized over atom arrays: fn(points) or fn(s, points),
     returning one value per atom; gradients return (n, d) arrays.  lip and
     sup are declared constants for the Lipschitz estimate.
     """
 
-    __slots__ = ("fn", "grad", "ds", "kind", "lip", "sup", "name")
+    __slots__ = ("fn", "grad", "ds", "lip", "sup", "name")
 
-    def __init__(self, fn, grad, ds=None, kind="plain", lip=None, sup=None, name=""):
-        if kind not in ("plain", "extended"):
-            raise ValueError("kind must be 'plain' or 'extended'")
-        if kind == "extended" and ds is None:
-            raise ValueError("extended kernels need the mass derivative ds")
+    def __init__(self, fn, grad, ds=None, lip=None, sup=None, name=""):
         self.fn = fn
         self.grad = grad
         self.ds = ds
-        self.kind = kind
         self.lip = lip
         self.sup = sup
         self.name = name
 
     def values(self, weights, points):
-        if self.kind == "plain":
+        if self.ds is None:
             return np.asarray(self.fn(points), dtype=float)
         return np.asarray(self.fn(weights, points), dtype=float)
 
     def gradients(self, weights, points):
-        if self.kind == "plain":
+        if self.ds is None:
             return np.asarray(self.grad(points), dtype=float)
         return np.asarray(self.grad(weights, points), dtype=float)
 
     def mass_derivative(self, weights, points):
-        if self.kind == "plain":
+        if self.ds is None:
             return np.zeros(len(weights))
         return np.asarray(self.ds(weights, points), dtype=float)
 
@@ -130,7 +132,7 @@ def poly_outer(coeffs):
 class CylinderFunction:
     """chi(mu M) * F(kernel integrals); houses plain and extended kernels."""
 
-    __slots__ = ("outer", "kernels", "cutoff", "cutoff_prime", "kind", "name")
+    __slots__ = ("outer", "kernels", "cutoff", "cutoff_prime", "name")
 
     def __init__(self, outer, kernels, cutoff=None, cutoff_prime=None, name=""):
         if outer.arity != len(kernels):
@@ -141,9 +143,6 @@ class CylinderFunction:
         self.kernels = list(kernels)
         self.cutoff = cutoff
         self.cutoff_prime = cutoff_prime
-        self.kind = (
-            "extended" if any(k.kind == "extended" for k in kernels) else "plain"
-        )
         self.name = name
 
     def kernel_integrals(self, mu):
@@ -424,7 +423,6 @@ def one_kernel():
     return ScalarField(
         lambda p: np.ones(len(p)),
         lambda p: np.zeros_like(np.atleast_2d(p)),
-        kind="plain",
         lip=0.0,
         sup=1.0,
         name="one",
@@ -446,7 +444,7 @@ def gauss_kernel(center, width, amplitude=1.0):
         return fn(p)[:, None] * (-(p - center) / width**2)
 
     lip = abs(amplitude) * np.exp(-0.5) / width
-    return ScalarField(fn, grad, kind="plain", lip=lip, sup=abs(amplitude), name="gauss")
+    return ScalarField(fn, grad, lip=lip, sup=abs(amplitude), name="gauss")
 
 
 def bump_kernel(center, radius, amplitude=1.0):
@@ -468,7 +466,7 @@ def bump_kernel(center, radius, amplitude=1.0):
         return fac[:, None] * (p - center)
 
     lip = abs(amplitude) * (96.0 / (25.0 * np.sqrt(5.0))) / radius
-    return ScalarField(fn, grad, kind="plain", lip=lip, sup=abs(amplitude), name="bump")
+    return ScalarField(fn, grad, lip=lip, sup=abs(amplitude), name="bump")
 
 
 def coordinate_kernel(axis=0):
@@ -481,7 +479,7 @@ def coordinate_kernel(axis=0):
         out[:, axis] = 1.0
         return out
 
-    return ScalarField(fn, grad, kind="plain", lip=1.0, sup=np.inf, name=f"coord{axis}")
+    return ScalarField(fn, grad, lip=1.0, sup=np.inf, name=f"coord{axis}")
 
 
 def mass_kernel_extended(h=None, h_grad=None):
@@ -495,7 +493,6 @@ def mass_kernel_extended(h=None, h_grad=None):
         lambda s, p: np.asarray(s) * h(p),
         lambda s, p: np.asarray(s)[:, None] * h_grad(p),
         ds=lambda s, p: h(p),
-        kind="extended",
         name="atom-mass",
     )
 

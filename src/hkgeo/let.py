@@ -29,6 +29,7 @@ __all__ = [
     "ghk_sq",
     "hk_sq",
     "verify_optimality",
+    "OptimalityReport",
     "lift_to_cone",
     "ConePlan",
     "limit_diagnostics",

@@ -14,6 +14,7 @@ __all__ = [
     "total_mass",
     "hellinger_sq",
     "wasserstein_sq",
+    "cost_matrix_sq",
     "dilate",
     "pushforward",
     "decompose",
@@ -22,6 +23,8 @@ __all__ = [
     "measure_from_json",
     "measure_to_csv",
     "measure_from_csv",
+    "load_measure",
+    "save_measure",
 ]
 
 WASSERSTEIN_SUPPORT_CAP = 64

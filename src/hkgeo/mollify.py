@@ -62,7 +62,13 @@ def retraction_profile(r):
 def retraction(x):
     """The map f(x) = x * rho(|x|)/|x|: identity on B(0,1), |f| <= 2, Lip 1."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    r = np.linalg.norm(x, axis=1)
+    with np.errstate(over="ignore"):
+        r = np.sqrt(np.add.reduce(x * x, axis=1))  # np.linalg.norm's formula, bit for bit
+    # rows whose square overflows (|x| >~ 1e154): scale by max |x_i| first
+    big = np.isinf(r)
+    if big.any():
+        s = np.abs(x[big]).max(axis=1)
+        r[big] = s * np.linalg.norm(x[big] / s[:, None], axis=1)
     fac = np.ones_like(r)
     pos = r > 0
     fac[pos] = retraction_profile(r[pos]) / r[pos]

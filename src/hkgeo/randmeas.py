@@ -10,8 +10,8 @@ mass (exact restriction, product structure) or Gamma-reweighted with the
 density e^{mass} and exponential damping.
 
 Samplers and validators draw whole batches (MeasureBatch) from one truncated
-stick matrix (Ishwaran & James, JASA 96, 2001) and one base_sampler call; the
-single-measure samplers are the n = 1 rows of the batch samplers.
+stick matrix (Ishwaran & James, JASA 96, 2001) and one base_sampler call; a
+single measure is a row of a batch.
 """
 
 import math
@@ -29,13 +29,8 @@ __all__ = [
     "SampleBatch",
     "CheckReport",
     "uniform_ball_sampler",
-    "stick_weights",
     "df_batch",
-    "sample_df",
-    "sample_lambda_window",
     "lambda_window_mass",
-    "sample_mlp",
-    "sample_gamma_measure",
     "mecke_check_df",
     "mecke_check_mlp",
     "invariance_checks",
@@ -105,22 +100,6 @@ class MeasureBatch:
         self.atom_points = np.take(points.reshape(-1, self.dim), live, axis=0)
         self.atom_weights = np.take(weights, live)
 
-    @classmethod
-    def pack(cls, measures):
-        """Pad a sequence of DiscreteMeasures of one dimension into a batch."""
-        measures = list(measures)
-        if not measures or len({m.dim for m in measures}) != 1:
-            raise ValueError("need a nonempty list of measures of one dimension")
-        n, dim = len(measures), measures[0].dim
-        sizes = np.array([len(m) for m in measures])
-        rows = np.repeat(np.arange(n), sizes)
-        cols = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        points = np.zeros((n, sizes.max(), dim))
-        weights = np.zeros((n, sizes.max()))
-        points[rows, cols] = np.concatenate([m.points for m in measures])
-        weights[rows, cols] = np.concatenate([m.weights for m in measures])
-        return cls(points, weights)
-
     def __len__(self):
         return self.weights.shape[0]
 
@@ -146,22 +125,20 @@ class MeasureBatch:
 
 
 class SampleBatch:
-    """Measures with importance weights representing a target law; a list
-    of DiscreteMeasures is packed into a MeasureBatch."""
+    """A MeasureBatch with importance weights representing a target law."""
 
-    __slots__ = ("measures", "weights", "provenance")
+    __slots__ = ("measures", "weights")
 
-    def __init__(self, measures, weights, provenance):
+    def __init__(self, measures, weights):
         if not isinstance(measures, MeasureBatch):
-            measures = MeasureBatch.pack(measures)
+            raise ValueError("measures must be a MeasureBatch")
         weights = np.asarray(weights, dtype=float)
         if len(measures) != len(weights):
             raise ValueError("measures and weights must have equal length")
-        if np.any(weights < 0):
-            raise ValueError("importance weights must be >= 0")
+        if not (np.isfinite(weights).all() and (weights >= 0).all()):
+            raise ValueError("importance weights must be finite and >= 0")
         self.measures = measures
         self.weights = weights
-        self.provenance = dict(provenance)
 
     def __len__(self):
         return len(self.measures)
@@ -243,22 +220,10 @@ def _shapes(params, beta, n, trunc_tol, rng, draw_masses=None):
     return MeasureBatch(x, masses[:, None] * q), masses
 
 
-def stick_weights(beta, trunc_tol, rng):
-    """Stick-breaking weights with Beta(1, beta) sticks, truncated once the
-    residual stick mass is below trunc_tol; the residual is returned as the
-    final entry so the weights sum to one.  One row of the stick matrix."""
-    return _stick_matrix(beta, 1, trunc_tol, rng)[0]
-
-
 def df_batch(params, beta, n, rng=None, trunc_tol=1e-10):
     """n Dirichlet-Ferguson samples via stick-breaking, as a MeasureBatch of
     purely atomic random probability measures with atoms drawn iid from nu."""
     return _shapes(params, beta, n, trunc_tol, np.random.default_rng(rng))[0]
-
-
-def sample_df(params, beta, trunc_tol=1e-10, rng=None):
-    """One Dirichlet-Ferguson sample: the n = 1 row of df_batch."""
-    return df_batch(params, beta, 1, rng, trunc_tol)[0]
 
 
 def _window_masses(theta, window, rng, n):
@@ -271,11 +236,6 @@ def _window_masses(theta, window, rng, n):
     return (a**theta + u * (b**theta - a**theta)) ** (1.0 / theta)
 
 
-def sample_lambda_window(theta, window, rng):
-    """One mass with density t^{theta-1} restricted and normalized to [a, b]."""
-    return float(_window_masses(theta, window, rng, 1)[0])
-
-
 def lambda_window_mass(theta, window):
     """lambda_theta([a, b]) = (b^theta - a^theta) / Gamma(theta + 1)."""
     a, b = window
@@ -286,43 +246,25 @@ def _gamma_shapes(params, beta, n, trunc_tol, rng):
     return _shapes(params, beta, n, trunc_tol, rng, lambda k: rng.gamma(params.theta, 1.0, k))
 
 
-def sample_mlp(params, window, trunc_tol=1e-10, rng=None):
-    """One draw of the mass-windowed multiplicative Lebesgue law: an
-    independent pair (windowed lambda_theta mass, DF shape), importance
-    weight 1; the n = 1 row of mlp_window_batch."""
-    return mlp_window_batch(params, window, 1, rng, trunc_tol).measures[0], 1.0
-
-
-def sample_gamma_measure(params, trunc_tol=1e-10, rng=None):
-    """Gamma random measure sample: total mass ~ Gamma(theta, 1) independent
-    of the DF(theta) simplicial part; the n = 1 row of gamma_batch."""
-    return gamma_batch(params, 1, rng, trunc_tol).measures[0]
-
-
 def gamma_batch(params, n, seed, trunc_tol=1e-10):
-    """Batch of Gamma-measure samples with importance weights e^{mass},
-    representing the sigma-finite multiplicative Lebesgue law; seed is a
-    seed or a numpy Generator."""
+    """Gamma random measures (total mass ~ Gamma(theta, 1), independent of
+    the DF(theta) simplicial part) with importance weights e^{mass}: a
+    SampleBatch representing the sigma-finite multiplicative Lebesgue law;
+    seed is a seed or a numpy Generator."""
     rng = np.random.default_rng(seed)
     measures, masses = _gamma_shapes(params, params.theta, n, trunc_tol, rng)
-    return SampleBatch(
-        measures,
-        np.exp(np.minimum(masses, 700.0)),
-        {"law": "gamma-reweighted-mlp", "seed": seed, "window": None, "theta": params.theta},
-    )
+    return SampleBatch(measures, np.exp(np.minimum(masses, 700.0)))
 
 
 def mlp_window_batch(params, window, n, seed, trunc_tol=1e-10):
-    """Batch from the mass-windowed multiplicative Lebesgue law (unit
-    importance weights; the window normalization is lambda_theta([a, b]));
-    seed is a seed or a numpy Generator."""
+    """MeasureBatch from the mass-windowed multiplicative Lebesgue law: each
+    row an independent pair (windowed lambda_theta mass, DF(theta) shape),
+    drawn directly, so every row has importance weight 1 (the window
+    normalization is lambda_theta([a, b])); seed is a seed or a numpy
+    Generator."""
     rng = np.random.default_rng(seed)
     draw = lambda k: _window_masses(params.theta, window, rng, k)
-    return SampleBatch(
-        _shapes(params, params.theta, n, trunc_tol, rng, draw)[0],
-        np.ones(n),
-        {"law": "mlp-window", "seed": seed, "window": tuple(window), "theta": params.theta},
-    )
+    return _shapes(params, params.theta, n, trunc_tol, rng, draw)[0]
 
 
 def _mean_se(values):

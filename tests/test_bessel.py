@@ -4,7 +4,6 @@ import mpmath
 from math import gamma as gamma_fn
 
 from hkgeo.bessel import (
-    BesselPath,
     bessel_ode_residual,
     besq_exact_terminal,
     dirichlet_form_mc,
@@ -15,7 +14,6 @@ from hkgeo.bessel import (
     hyp0f1_regularized,
     quadrature_E,
     radial_form_mc,
-    simulate_besq,
     simulate_besq_batch,
     smooth_bump_radial,
 )
@@ -28,6 +26,7 @@ class TestEuler:
         theta, x0, T, dt, n = 1.5, 1.0, 1.0, 1e-3, 10_000
         rng = np.random.default_rng(0)
         paths, t, clipped = simulate_besq_batch(theta, x0, T, dt, rng, n)
+        assert paths.shape == (n, len(t)) and t[0] == 0.0 and np.all(np.diff(t) > 0)
         xT = paths[:, -1]
         se_mean = xT.std(ddof=1) / np.sqrt(n)
         assert abs(xT.mean() - (x0 + theta * T)) <= 3 * se_mean
@@ -37,8 +36,8 @@ class TestEuler:
 
     def test_absorbing_at_zero_drift_zero(self):
         rng = np.random.default_rng(1)
-        path = simulate_besq(0.0, 0.0, 1.0, 1e-2, rng)
-        assert np.all(path.x == 0.0)
+        paths, _, _ = simulate_besq_batch(0.0, 0.0, 1.0, 1e-2, rng, 1)
+        assert np.all(paths == 0.0)
 
     def test_paths_nonnegative_and_clipping_vanishes(self):
         rng = np.random.default_rng(2)
@@ -48,9 +47,9 @@ class TestEuler:
         assert clipped_fine <= clipped_coarse
 
     def test_deterministic_for_fixed_seed(self):
-        a = simulate_besq(1.0, 0.5, 1.0, 1e-2, np.random.default_rng(3))
-        b = simulate_besq(1.0, 0.5, 1.0, 1e-2, np.random.default_rng(3))
-        assert np.array_equal(a.x, b.x)
+        a, _, _ = simulate_besq_batch(1.0, 0.5, 1.0, 1e-2, np.random.default_rng(3), 1)
+        b, _, _ = simulate_besq_batch(1.0, 0.5, 1.0, 1e-2, np.random.default_rng(3), 1)
+        assert np.array_equal(a, b)
 
     def test_exact_sampler_agrees_with_euler(self):
         theta, x0, T = 2.0, 0.7, 1.0
@@ -61,12 +60,6 @@ class TestEuler:
         m2, s2 = exact.mean(), exact.std(ddof=1) / np.sqrt(n)
         assert abs(m1 - m2) <= 3 * np.hypot(s1, s2)
         assert exact.mean() == pytest.approx(x0 + theta * T, abs=3 * s2)
-
-    def test_path_type_invariants(self):
-        with pytest.raises(ValueError):
-            BesselPath([0.0, 1.0], [1.0, -0.5], 1.0, "euler")
-        with pytest.raises(ValueError):
-            BesselPath([0.5, 1.0], [1.0, 1.0], 1.0, "euler")
 
 
 class TestHitting:

@@ -122,6 +122,18 @@ class TestSimulateSample:
             rec = json.loads(line)
             assert 1.0 <= sum(rec["weights"]) <= 4.0
 
+    def test_window_refused_for_unwindowed_laws(self, tmp_path, capsys):
+        # df and gamma samples ignore a mass window, so neither the flag nor
+        # the config may claim one in the provenance header
+        out = tmp_path / "s.jsonl"
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("window = 1,4\n")
+        for law, extra in (("df", ["--window", "1,4"]), ("gamma", ["--config", str(cfg)])):
+            code = main(["sample", law, "--n", "5", "--seed", "1", "--out", str(out)] + extra)
+            assert code == 1
+            assert capsys.readouterr().err.startswith("error: --window applies to mlp only")
+            assert not out.exists()
+
     def test_seed_required(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["sample", "df", "--n", "5", "--out", str(tmp_path / "x.jsonl")])
@@ -149,6 +161,19 @@ class TestValidate:
         assert main(["validate", "mecke-mlp", "--n", "50", "--seed", "2", "--out", str(out)]) == 0
         for check in json.loads(out.read_text())["checks"]:
             assert check["runtime_s"] > 0 and check["per_sample_us"] > 0
+
+    def test_monte_carlo_checks_report_se_and_n(self, tmp_path):
+        # every estimate compared with a target carries its standard error
+        # and sample count; the report is written whether or not it passes
+        out = tmp_path / "v.json"
+        for suite in ("mecke-df", "invariance", "bessel", "radial-iso"):
+            main(["validate", suite, "--n", "50", "--seed", "4", "--out", str(out)])
+            rep = json.loads(out.read_text())
+            assert set(rep) == {"suite", "passed", "checks", "runtime_ms", "config"}
+            estimates = [c for c in rep["checks"] if "target" in c or "mc" in c or "lhs" in c]
+            assert estimates, suite
+            for c in estimates:
+                assert "n" in c and ("se" in c or {"se_lhs", "se_rhs"} <= set(c)), (suite, c)
 
     def test_batch_too_big_for_memory_exits_one(self, monkeypatch, capsys):
         import hkgeo.measures as ms

@@ -207,7 +207,6 @@ class TestSlopeProbe:
         f = ScalarField(
             lambda p: p[:, 0] * (p[:, 0] - 1.0),
             lambda p: (2.0 * p[:, 0] - 1.0)[:, None],
-            kind="plain",
         )
         u = linear_cylinder(f)
         ana = analytic_slope(u, mu, "he")

@@ -57,6 +57,15 @@ class TestRetraction:
         assert retraction_profile(3.0) == pytest.approx(2.0)
         assert retraction_profile(10.0) == 2.0
 
+    def test_huge_points_do_not_overflow(self):
+        # |x|^2 overflows beyond |x| ~ 1e154; warnings are errors here
+        for x in ([[0.4e155]], [[1e200, -1e200]], [[1e300, 1e300, -1e300]], [[-1.7e308, 0.0]]):
+            x = np.array(x)
+            f = retraction(x)
+            assert np.linalg.norm(f, axis=1) == pytest.approx(2.0, rel=1e-15)
+            scaled = x / np.abs(x).max()
+            np.testing.assert_allclose(f, 2.0 * scaled / np.linalg.norm(scaled), rtol=1e-15)
+
 
 class TestMollify:
     def test_mass_identity(self):
@@ -100,6 +109,7 @@ class TestMollify:
         # The retraction keeps |f(eps x)/eps| <= 2/eps on each axis, a patch
         # adds floor(eps/h) nodes, and half_nodes = ceil((2/eps + eps)/h) + 1:
         # every patch, even of an atom at |x| = 1e9, lands inside the grid.
+        # Atoms at 1e155 and 1e300, whose |eps x|^2 overflows, land there too.
         rng = np.random.default_rng(5)
         grids = {1: [(0.4, 4), (0.4, 7), (0.13, 4.3), (0.13, 40)],
                  2: [(0.4, 4), (0.4, 10), (0.13, 4), (0.13, 5.5)],
@@ -109,7 +119,10 @@ class TestMollify:
             dirs /= np.linalg.norm(dirs, axis=1)[:, None]
             pts = np.concatenate([1e9 * np.eye(dim), -1e9 * np.eye(dim), 1e9 * dirs,
                                   10.0 ** rng.uniform(0, 9, (4, 1)) * dirs, rng.normal(0, 1, (2, dim))])
-            mu = DiscreteMeasure(pts, rng.uniform(0.2, 2.0, len(pts)))
+            weights = rng.uniform(0.2, 2.0, len(pts))
+            huge = np.concatenate([1e155 * np.eye(dim), -1e300 * np.ones((1, dim)), 1e300 * dirs[:1]])
+            pts = np.concatenate([pts, huge])
+            mu = DiscreteMeasure(pts, np.concatenate([weights, np.ones(len(huge))]))
             for eps, step in eps_steps:
                 cfg = MollifierConfig(eps, eps / step, dim=dim)
                 out = mollify(mu, cfg)

@@ -4,10 +4,11 @@ from math import gamma as gamma_fn
 
 from hkgeo import cylinders as cyl
 from hkgeo import measures, randmeas
-from hkgeo.measures import DiscreteMeasure, pushforward
+from hkgeo.measures import DiscreteMeasure
 from hkgeo.randmeas import (
     CheckReport,
     IntensityParams,
+    MeasureBatch,
     SampleBatch,
     df_batch,
     estimate_intensity,
@@ -17,11 +18,6 @@ from hkgeo.randmeas import (
     mecke_check_df,
     mecke_check_mlp,
     mlp_window_batch,
-    sample_df,
-    sample_gamma_measure,
-    sample_lambda_window,
-    sample_mlp,
-    stick_weights,
 )
 
 
@@ -31,50 +27,35 @@ def params():
 
 
 class TestStickBreaking:
-    def test_weights_sum_to_one_exactly(self, params):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            q = stick_weights(1.5, 1e-8, rng)
-            assert q.sum() == pytest.approx(1.0, abs=1e-15)
-            assert np.all(q > 0)
-
-    def test_residual_below_tolerance(self, params):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            q = stick_weights(2.0, 1e-6, rng)
-            assert q[-1] < 1e-6
-
     def test_df_sample_is_probability(self, params):
         rng = np.random.default_rng(2)
-        eta = sample_df(params, 1.0, rng=rng)
+        eta = df_batch(params, 1.0, 1, rng)[0]
         assert eta.mass == pytest.approx(1.0, abs=1e-12)
 
     def test_atoms_in_support_of_nu(self, params):
         rng = np.random.default_rng(3)
-        eta = sample_df(params, 1.0, rng=rng)
+        eta = df_batch(params, 1.0, 1, rng)[0]
         assert np.all(np.linalg.norm(eta.points, axis=1) <= 1.0)
 
     def test_sum_sq_mean_matches_beta_mean(self, params):
         # E[sum q_i^2] = 1/(1 + beta), the Beta(1, beta) mean
         rng = np.random.default_rng(4)
         beta, n = 1.0, 4000
-        vals = np.array(
-            [np.sum(sample_df(params, beta, rng=rng).weights ** 2) for _ in range(n)]
-        )
+        eta = df_batch(params, beta, n, rng)
+        vals = eta.row_sums(eta.atom_weights**2)
         se = vals.std(ddof=1) / np.sqrt(n)
         assert abs(vals.mean() - 1.0 / (1.0 + beta)) <= 3 * se
 
     def test_reproducible(self, params):
-        a = sample_df(params, 2.0, rng=np.random.default_rng(7))
-        b = sample_df(params, 2.0, rng=np.random.default_rng(7))
+        a = df_batch(params, 2.0, 1, np.random.default_rng(7))[0]
+        b = df_batch(params, 2.0, 1, np.random.default_rng(7))[0]
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.weights, b.weights)
 
 
 class TestLambdaWindow:
     def test_theta_one_uniform(self):
-        rng = np.random.default_rng(5)
-        vals = np.array([sample_lambda_window(1.0, (2.0, 3.0), rng) for _ in range(20000)])
+        vals = randmeas._window_masses(1.0, (2.0, 3.0), np.random.default_rng(5), 20000)
         assert np.all((vals >= 2) & (vals <= 3))
         # KS statistic against the uniform CDF
         s = np.sort(vals)
@@ -83,10 +64,9 @@ class TestLambdaWindow:
         assert ks < 1.63 / np.sqrt(len(s))  # 1% critical value
 
     def test_cdf_matches_power_law(self):
-        rng = np.random.default_rng(6)
         theta, a, b = 2.5, 1.0, 4.0
         n = 100_000
-        vals = np.array([sample_lambda_window(theta, (a, b), rng) for _ in range(n)])
+        vals = randmeas._window_masses(theta, (a, b), np.random.default_rng(6), n)
         s = np.sort(vals)
         cdf = (s**theta - a**theta) / (b**theta - a**theta)
         ks = np.max(np.abs(cdf - np.arange(1, n + 1) / n))
@@ -102,36 +82,29 @@ class TestLambdaWindow:
     def test_invalid_window(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_lambda_window(1.0, (3.0, 2.0), rng)
+            randmeas._window_masses(1.0, (3.0, 2.0), rng, 1)
 
 
 class TestMlpSampler:
     def test_mass_in_window_and_shape_probability(self, params):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            mu, w = sample_mlp(params, (1.0, 4.0), rng=rng)
-            assert 1.0 <= mu.mass <= 4.0
-            assert w == 1.0
+        batch = mlp_window_batch(params, (1.0, 4.0), 50, np.random.default_rng(7))
+        assert isinstance(batch, MeasureBatch) and len(batch) == 50
+        assert np.all((batch.masses >= 1.0) & (batch.masses <= 4.0))
 
     def test_mass_shape_independence(self, params):
         # sample correlation of mass with the first shape moment is ~ 0
-        rng = np.random.default_rng(8)
         n = 4000
-        masses = np.empty(n)
-        moment = np.empty(n)
-        for i in range(n):
-            mu, _ = sample_mlp(params, (1.0, 4.0), rng=rng)
-            masses[i] = mu.mass
-            moment[i] = np.sum(mu.weights / mu.mass * mu.points[:, 0])
+        batch = mlp_window_batch(params, (1.0, 4.0), n, np.random.default_rng(8))
+        masses = batch.masses
+        moment = batch.row_sums(batch.atom_weights * batch.atom_points[:, 0]) / masses
         corr = np.corrcoef(masses, moment)[0, 1]
         assert abs(corr) <= 3.0 / np.sqrt(n)
 
 
 class TestGammaMeasure:
     def test_moments(self, params):
-        rng = np.random.default_rng(9)
         n = 20000
-        masses = np.array([sample_gamma_measure(params, rng=rng).mass for _ in range(n)])
+        masses = gamma_batch(params, n, np.random.default_rng(9)).measures.masses
         se_mean = masses.std(ddof=1) / np.sqrt(n)
         assert abs(masses.mean() - params.theta) <= 3 * se_mean
         var = masses.var(ddof=1)
@@ -140,11 +113,8 @@ class TestGammaMeasure:
 
     def test_damped_laplace(self, params):
         # E[e^{-mass}] = 2^{-theta} for Gamma(theta, 1)
-        rng = np.random.default_rng(10)
         n = 20000
-        vals = np.array(
-            [np.exp(-sample_gamma_measure(params, rng=rng).mass) for _ in range(n)]
-        )
+        vals = np.exp(-gamma_batch(params, n, np.random.default_rng(10)).measures.masses)
         se = vals.std(ddof=1) / np.sqrt(n)
         assert abs(vals.mean() - 2.0 ** (-params.theta)) <= 3 * se
 
@@ -250,13 +220,20 @@ class TestEstimateIntensity:
         assert np.all(np.abs(est["nu_first_moment"]) <= 3 * est["nu_first_moment_se"] + 1e-3)
 
     def test_degenerate_zero_batch(self, params):
-        zero = DiscreteMeasure(np.empty((0, 2)), [], dim=2)
-        batch_like = gamma_batch(params, 10, seed=0)
-        from hkgeo.randmeas import SampleBatch
-
-        batch = SampleBatch([zero] * 10, np.ones(10), {"law": "point-mass-zero"})
+        zero = MeasureBatch(np.empty((10, 0, 2)), np.empty((10, 0)))
+        batch = SampleBatch(zero, np.ones(10))
         est = estimate_intensity(batch)
         assert est["degenerate"] and est["theta_hat"] == 0.0
+
+    def test_sample_batch_needs_a_measure_batch(self, params):
+        measures = gamma_batch(params, 3, seed=0).measures
+        with pytest.raises(ValueError, match="MeasureBatch"):
+            SampleBatch(list(measures), np.ones(3))
+        with pytest.raises(ValueError, match="equal length"):
+            SampleBatch(measures, np.ones(2))
+        for bad in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                SampleBatch(measures, [1.0, bad, 1.0])
 
     def test_batches_reproducible(self, params):
         a = gamma_batch(params, 50, seed=21)
@@ -275,10 +252,9 @@ class TestMappingTheorem:
         fwd = lambda p: p @ A.T + bvec
 
         batch = gamma_batch(params, 20000, seed=22)
-        pushed = [pushforward(m, fwd) for m in batch.measures]
-        from hkgeo.randmeas import SampleBatch
-
-        pushed_batch = SampleBatch(pushed, batch.weights, {"law": "pushed"})
+        mu = batch.measures
+        pushed = MeasureBatch(fwd(mu.points.reshape(-1, 2)).reshape(mu.points.shape), mu.weights)
+        pushed_batch = SampleBatch(pushed, batch.weights)
         est = estimate_intensity(pushed_batch)
         # f# nu has first moment A @ E[x] + b = b for the centered ball
         assert np.all(np.abs(est["nu_first_moment"] - bvec) <= 3 * est["nu_first_moment_se"] + 2e-3)
@@ -288,10 +264,8 @@ class TestAtomDistinctness:
     def test_df_atoms_never_collide(self, params):
         # diffuse nu: the sampler's atoms stay distinct, so no stick weights
         # are merged away at construction
-        rng = np.random.default_rng(5)
-        q = stick_weights(2.0, 1e-10, rng)
-        x = params.base_sampler(rng, len(q))
-        eta = sample_df(params, 2.0, 1e-10, np.random.default_rng(5))
+        q = randmeas._stick_matrix(2.0, 1, 1e-10, np.random.default_rng(5))[0]
+        eta = df_batch(params, 2.0, 1, np.random.default_rng(5), 1e-10)[0]
         assert len(eta) == len(q)
         assert np.all(eta.weights > 0)
 
@@ -371,25 +345,21 @@ class TestMeasureBatch:
             lambda s, p: _refuse_zero(s) * 0.0 + 1.0,
             lambda s, p: np.zeros((len(s), 2)),
             ds=lambda s, p: _refuse_zero(s) * 0.0,
-            kind="extended",
         )
         u = cyl.CylinderFunction(cyl.sum_outer(1), [guarded])
         hor, ver = cyl.gradient(u, padded)
         assert np.all(ver == 1.0) and not hor.any()
 
-    def test_list_and_sampler_arrays_agree(self, params):
-        batch = gamma_batch(params, 500, seed=33)
-        packed = SampleBatch(list(batch.measures), batch.weights, {"law": "packed"})
-        a, b = estimate_intensity(batch), estimate_intensity(packed)
-        for key in ("theta_hat", "theta_se"):
-            assert b[key] == pytest.approx(a[key], rel=1e-12)
-        for key in ("nu_first_moment", "nu_first_moment_se"):
-            np.testing.assert_allclose(b[key], a[key], rtol=1e-12, atol=1e-15)
-
     def test_stick_matrix_rows_sum_to_one(self):
-        q = randmeas._stick_matrix(1.5, 5000, 1e-8, np.random.default_rng(34))
-        assert np.max(np.abs(q.sum(axis=1) - 1.0)) <= 1e-15
-        assert np.all(q[:, -1] < 1e-8)
+        # (beta, rows, trunc_tol, seed); each row's sticks are positive up to
+        # where it stopped, then zero padding, then the positive residual
+        for beta, n, tol, seed in ((1.5, 5000, 1e-8, 34), (1.5, 50, 1e-8, 0), (2.0, 100, 1e-6, 1)):
+            q = randmeas._stick_matrix(beta, n, tol, np.random.default_rng(seed))
+            assert np.max(np.abs(q.sum(axis=1) - 1.0)) <= 1e-15
+            assert np.all(q[:, -1] < tol)
+            live = q[:, :-1] > 0
+            assert np.all(live[:, 0]) and np.all(q[:, -1] > 0)
+            assert np.all(live[:, 1:] <= live[:, :-1]) and np.all(q[:, :-1][~live] == 0.0)
 
     def test_iteration_and_indexing_yield_measures(self, padded):
         measures = list(padded)
