@@ -27,6 +27,18 @@ def params():
 
 
 class TestStickBreaking:
+    def test_weights_sum_to_one_exactly(self, params):
+        q = randmeas._stick_matrix(1.5, 50, 1e-8, np.random.default_rng(0))
+        for row in q:
+            assert row.sum() == pytest.approx(1.0, abs=1e-15)
+            # positive sticks, then zero padding, then the positive residual
+            live = np.count_nonzero(row[:-1])
+            assert np.all(row[:live] > 0) and not row[live:-1].any() and row[-1] > 0
+
+    def test_residual_below_tolerance(self, params):
+        q = randmeas._stick_matrix(2.0, 100, 1e-6, np.random.default_rng(1))
+        assert np.all(q[:, -1] < 1e-6)
+
     def test_df_sample_is_probability(self, params):
         rng = np.random.default_rng(2)
         eta = df_batch(params, 1.0, 1, rng)[0]
