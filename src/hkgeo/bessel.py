@@ -216,20 +216,13 @@ def bessel_ode_residual(theta, t, solution="first"):
         d1 = hyp0f1(theta + 1.0, t) / theta
         d2 = hyp0f1(theta + 2.0, t) / (theta * (theta + 1.0))
         return abs(t * d2 + theta * d1 - f)
-    # f1(t) = t^{1-theta} 0Ftilde1(; 2-theta; t): differentiate the series
-    # sum_k rgamma(2 - theta + k) t^{1-theta+k} / k! term by term
-    val = d1 = d2 = 0.0
-    inv_fact = 1.0
-    for k in range(400):
-        c = rgamma(2.0 - theta + k) * inv_fact
-        p = 1.0 - theta + k
-        val += c * t**p
-        d1 += c * p * t ** (p - 1.0)
-        d2 += c * p * (p - 1.0) * t ** (p - 2.0)
-        inv_fact /= k + 1.0
-        if k > 6 and abs(c) * max(t**p, 1.0) < 1e-18 * max(abs(val), 1e-10):
-            break
-    return abs(t * d2 + theta * d1 - val)
+    # f1(t) = t^p g(t), p = 1 - theta, g = 0Ftilde1(; 2-theta; t), g' = 0Ftilde1(; 3-theta; t)
+    p = 1.0 - theta
+    g0, g1, g2 = (hyp0f1_regularized(2.0 - theta + k, t) for k in range(3))
+    f = t**p * g0
+    d1 = p * t ** (p - 1.0) * g0 + t**p * g1
+    d2 = p * (p - 1.0) * t ** (p - 2.0) * g0 + 2.0 * p * t ** (p - 1.0) * g1 + t**p * g2
+    return abs(t * d2 + theta * d1 - f)
 
 
 def _form_values(u, params, window, n, rng_seed):

@@ -327,33 +327,68 @@ def _random_measure(rng, n, dim=2, scale=1.2):
     return DiscreteMeasure(rng.normal(0, scale, (n, dim)), rng.uniform(0.1, 2.0, n))
 
 
+def _random_cylinder(rng, dim=2):
+    """F(f1*mu, f2*mu) with a Gauss and a bump kernel at random centres and
+    F(a) = a0 + c0 a1 + c1 a0 a1 + c2 a0^2 with random coefficients."""
+    kernels = [
+        cyl.gauss_kernel(rng.normal(0, 0.5, dim), rng.uniform(0.7, 1.5)),
+        cyl.bump_kernel(rng.normal(0, 0.5, dim), rng.uniform(1.5, 2.5)),
+    ]
+    c = rng.uniform(-0.6, 0.6, 3)
+
+    def val(a):
+        return float(a[0] + c[0] * a[1] + c[1] * a[0] * a[1] + c[2] * a[0] ** 2)
+
+    partials = [
+        lambda a: float(1 + c[1] * a[1] + 2 * c[2] * a[0]),
+        lambda a: float(c[0] + c[1] * a[0]),
+    ]
+    return cyl.CylinderFunction(cyl.OuterFunction(val, partials, 2), kernels)
+
+
+def _estimate(name, value, target, se, n, slack=0.0):
+    """A Monte-Carlo estimate against its closed form: passes when
+    |value - target| <= 3 se + slack."""
+    return {
+        "name": name,
+        "value": value,
+        "target": target,
+        "se": se,
+        "n": n,
+        "pass": bool(abs(value - target) <= 3 * se + slack),
+    }
+
+
+def _marginal_dev(ours, theirs):
+    """Largest |weight difference| of two measures on the same atoms (both
+    hold their atoms in lexicographic order); inf if the atoms differ."""
+    if ours.points.shape != theirs.points.shape or np.any(ours.points != theirs.points):
+        return np.inf
+    return float(np.max(np.abs(ours.weights - theirs.weights), initial=0.0))
+
+
 def _suite_duality(args):
     rng = np.random.default_rng(args.seed)
     checks = []
     for k in range(args.n):
-        m0 = _random_measure(rng, rng.integers(1, 9))
-        m1 = _random_measure(rng, rng.integers(1, 9))
-        for kind in ("ghk", "hk"):
-            p = let_problem(m0, m1, kind)
-            s = solve_let(p, args.tol)
-            rep = verify_optimality(p, s, 1e-6)
-            cp = lift_to_cone(p, s)
-            h0, h1 = cp.homogeneous_marginals()
-            ok = (
-                s.converged
-                and rep.ok()
-                and h0.allclose(m0, atol=1e-8)
-                and h1.allclose(m1, atol=1e-8)
-            )
-            checks.append(
-                {
-                    "name": f"pair{k}-{kind}",
-                    "value": s.gap / (1 + abs(s.primal_value)),
-                    "tol": args.tol,
-                    "certificate": rep.as_dict(),
-                    "pass": bool(ok),
-                }
-            )
+        m0 = _random_measure(rng, rng.integers(1, 11))
+        m1 = _random_measure(rng, rng.integers(1, 11))
+        kind = "ghk" if k % 2 == 0 else "hk"
+        p = let_problem(m0, m1, kind)
+        s = solve_let(p, args.tol)
+        rep = verify_optimality(p, s, 1e-6)
+        h0, h1 = lift_to_cone(p, s).homogeneous_marginals()
+        dev = max(_marginal_dev(h0, m0), _marginal_dev(h1, m1))
+        checks.append(
+            {
+                "name": f"pair{k}-{kind}",
+                "value": s.gap / (1 + abs(s.primal_value)),
+                "tol": args.tol,
+                "certificate": rep.as_dict(),
+                "marginal_dev": dev,
+                "pass": bool(s.converged and rep.ok() and dev <= 1e-8),
+            }
+        )
     return checks
 
 
@@ -366,17 +401,8 @@ def _suite_mecke_df(args):
         mecke_check_df(lambda eta, x, t: t**2, beta, params, n=args.n, rng=rng, name="F=t^2"),
     ]
     checks = [dict(r.as_dict(), **{"pass": r.verdict}) for r in reports]
-    closed = 1.0 / (1.0 + beta)
-    checks.append(
-        {
-            "name": "F=t rhs equals 1/(1+beta)",
-            "value": reports[0].rhs,
-            "target": closed,
-            "se": reports[0].se_rhs,
-            "n": reports[0].n,
-            "pass": bool(abs(reports[0].rhs - closed) <= 3 * reports[0].se_rhs),
-        }
-    )
+    f_t = reports[0]
+    checks.append(_estimate("F=t rhs equals 1/(1+beta)", f_t.rhs, 1.0 / (1.0 + beta), f_t.se_rhs, f_t.n))
     return checks
 
 
@@ -397,26 +423,9 @@ def _suite_invariance(args):
     batch = gamma_batch(params, args.n, seed=args.seed + 1)
     est = estimate_intensity(batch)
     checks.append(
-        {
-            "name": "estimate_intensity theta",
-            "value": est["theta_hat"],
-            "target": args.theta,
-            "se": est["theta_se"],
-            "n": len(batch),
-            "pass": bool(abs(est["theta_hat"] - args.theta) <= 3 * est["theta_se"]),
-        }
+        _estimate("estimate_intensity theta", est["theta_hat"], args.theta, est["theta_se"], len(batch))
     )
     return checks
-
-
-def _registered_cylinders(rng):
-    out = []
-    for _ in range(5):
-        out.append(cyl.parse_cylinder("poly:0,1,%.3f | gauss(%.2f,%.2f,1.1)" % (
-            rng.uniform(-0.4, 0.4), rng.normal(), rng.normal())))
-    out.append(cyl.parse_cylinder("sum | gauss(0,0,1); bump(0,0,2)"))
-    out.append(cyl.parse_cylinder("tanh_sum | gauss(0.3,-0.2,0.9); one"))
-    return out
 
 
 def _suite_gradient(args):
@@ -424,7 +433,7 @@ def _suite_gradient(args):
     checks = []
     for k in range(args.n):
         mu = _random_measure(rng, rng.integers(2, 6))
-        u = _registered_cylinders(rng)[k % 7]
+        u = _random_cylinder(rng)
         t1 = rng.normal(0, 1, (len(mu), 2))
         t2 = rng.normal(0, 1, len(mu))
         d = cyl.perturbation_derivative(u, mu, t1, t2)
@@ -439,7 +448,7 @@ def _suite_slope(args):
     checks = []
     for k in range(max(2, args.n // 4)):
         mu = _random_measure(rng, 4, scale=0.6)
-        u = _registered_cylinders(rng)[k % 7]
+        u = _random_cylinder(rng)
         for metric in ("hk", "he", "w"):
             ana = cyl.analytic_slope(u, mu, metric)
             probe = cyl.slope_probe(u, mu, metric, n_samples=4, rng=rng)
@@ -457,52 +466,29 @@ def _suite_slope(args):
 
 def _suite_bessel(args):
     rng = np.random.default_rng(args.seed)
-    checks = []
     theta, x0, T, dt, n = args.theta, 1.0, 1.0, 1e-3, args.n
     paths, _, _ = bes.simulate_besq_batch(theta, x0, T, dt, rng, n)
     xT = paths[:, -1]
     se = xT.std(ddof=1) / np.sqrt(n)
-    checks.append(
-        {
-            "name": "mean",
-            "value": float(xT.mean()),
-            "target": x0 + theta * T,
-            "se": se,
-            "n": n,
-            "pass": bool(abs(xT.mean() - (x0 + theta * T)) <= 3 * se),
-        }
-    )
     var = xT.var(ddof=1)
     se_var = float(np.sqrt(np.var((xT - xT.mean()) ** 2, ddof=1) / n))
-    checks.append(
-        {
-            "name": "variance",
-            "value": float(var),
-            "target": 2 * x0 * T + theta * T**2,
-            "se": se_var,
-            "n": n,
-            "pass": bool(abs(var - (2 * x0 * T + theta * T**2)) <= 3 * se_var),
-        }
-    )
+    checks = [
+        _estimate("mean", float(xT.mean()), x0 + theta * T, se, n),
+        _estimate("variance", float(var), 2 * x0 * T + theta * T**2, se_var, n),
+    ]
     for th in (0.5, 1.0, 1.5, 3.0):
         res = bes.empirical_hitting(th, 0.5, 1.0, 2.0, 2.5e-4, min(n, 10000), rng)
         p = bes.hitting_prob(th, 0.5, 1.0, 2.0)
-        p_hat = res["hit_a"] / res["n"]
         se_p = np.sqrt(p * (1 - p) / res["n"])
+        # 0.01 of discretization slack at dt = 2.5e-4 on top of 3 SE
         checks.append(
-            {
-                "name": f"hitting theta={th}",
-                "value": p_hat,
-                "target": p,
-                "se": se_p,
-                "n": res["n"],
-                "pass": bool(abs(p_hat - p) <= 3 * se_p + 0.01),
-            }
+            _estimate(f"hitting theta={th}", res["hit_a"] / res["n"], p, se_p, res["n"], slack=0.01)
         )
     f = bes.smooth_bump_radial(0.8, 2.2)
     g = bes.smooth_bump_radial(1.0, 2.6)
     resid, scale = bes.generator_symmetry(theta, f, g)
-    checks.append({"name": "generator", "value": resid, "tol": 1e-7 * scale, "pass": bool(resid <= 1e-7 * scale)})
+    tol = 1e-7 * scale
+    checks.append({"name": "generator", "value": resid, "scale": scale, "tol": tol, "pass": bool(resid <= tol)})
     worst = max(
         bes.bessel_ode_residual(th, t, sol)
         for th in (0.5, 1.5, 3.0)
@@ -517,22 +503,14 @@ def _suite_radial_iso(args):
     params = IntensityParams(args.theta, dim=2)
     chi = bes.smooth_bump_radial(1.0, 2.0)
     res = bes.radial_form_mc(args.theta, params, chi, (0.8, 2.2), n=args.n, rng_seed=args.seed)
-    checks = [
-        {
-            "name": "radial form mc vs quadrature",
-            "mc": res["mc"],
-            "quad": res["quad"],
-            "se": res["se"],
-            "n": res["n"],
-            "pass": bool(abs(res["mc"] - res["quad"]) <= 3 * res["se"]),
-        },
+    return [
+        _estimate("radial form mc vs quadrature", res["mc"], res["quad"], res["se"], res["n"]),
         {
             "name": "horizontal gradient vanishes",
             "value": res["max_horizontal"],
             "pass": bool(res["max_horizontal"] == 0.0),
         },
     ]
-    return checks
 
 
 def _suite_limits(args):
@@ -554,6 +532,8 @@ def _suite_limits(args):
         checks.append(
             {
                 "name": f"ladder-{k}",
+                "hk_monotone": tab["hk_monotone"],
+                "w_monotone": tab["w_monotone"],
                 "hk_terminal": tab["hk_lambda_sq"][-1],
                 "hellinger_sq": tab["hellinger_sq"],
                 "w_terminal": tab["w_ladder_sq"][-1],

@@ -46,7 +46,8 @@ def kappa(x, dim=None):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if dim is None:
         dim = x.shape[1]
-    r = np.linalg.norm(x, axis=1)
+    with np.errstate(over="ignore"):  # an overflowed |x| = inf is still outside the ball
+        r = np.linalg.norm(x, axis=1)
     return kernel_normalization(dim) * _bump_profile(r)
 
 

@@ -15,7 +15,7 @@ measure dependence).
 import numpy as np
 
 from . import _kernels
-from .let import LetProblem, _ensure_let_fits, solve_let
+from .let import LetProblem, _ensure_let_fits, _half_cost_transform, solve_let
 from .measures import DiscreteMeasure, cost_matrix_sq
 from .mollify import mollify
 
@@ -125,8 +125,7 @@ def legendre_pair(nu, mu, cfg, tol=5e-3, radius=None):
     sol = solve_let(problem, tol)
 
     # min-convolution extension of the solver duals, then exact conjugation
-    live = np.isfinite(sol.phi1)
-    phi_tilde = np.min(0.5 * problem.cost[:, live] - sol.phi1[live], axis=1)
+    phi_tilde = _half_cost_transform(problem.cost.T, sol.phi1)
     phi_raw = 0.5 * np.sum(nu.points**2, axis=1) - phi_tilde
 
     # psi lives on the lattice box around T_eps(mu), padded by one node

@@ -52,7 +52,8 @@ def uniform_ball_sampler(dim):
     volume = np.pi ** (dim / 2) / gamma_fn(dim / 2 + 1)
 
     def density(points):
-        inside = np.linalg.norm(np.atleast_2d(points), axis=1) <= 1.0
+        with np.errstate(over="ignore"):  # an overflowed |x| = inf is still outside the ball
+            inside = np.linalg.norm(np.atleast_2d(points), axis=1) <= 1.0
         return np.where(inside, 1.0 / volume, 0.0)
 
     return draw, density

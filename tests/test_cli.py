@@ -146,11 +146,16 @@ class TestValidate:
                      "--out", str(out)])
         assert code == 0
         rep = json.loads(out.read_text())
-        assert rep["passed"] and len(rep["checks"]) == 6
+        assert rep["passed"] and len(rep["checks"]) == 3  # one solve per pair, ghk and hk alternating
 
     def test_gradient_suite(self, tmp_path):
         out = tmp_path / "g.json"
         assert main(["validate", "gradient", "--n", "10", "--seed", "3", "--out", str(out)]) == 0
+
+    def test_slope_suite(self, tmp_path):
+        # the cylinder family of criterion 6: no probe leaves [0.90, 1.05] x the analytic slope
+        out = tmp_path / "s.json"
+        assert main(["validate", "slope", "--n", "32", "--seed", "108", "--out", str(out)]) == 0
 
     def test_limits_suite(self, tmp_path):
         out = tmp_path / "l.json"
@@ -170,7 +175,7 @@ class TestValidate:
             main(["validate", suite, "--n", "50", "--seed", "4", "--out", str(out)])
             rep = json.loads(out.read_text())
             assert set(rep) == {"suite", "passed", "checks", "runtime_ms", "config"}
-            estimates = [c for c in rep["checks"] if "target" in c or "mc" in c or "lhs" in c]
+            estimates = [c for c in rep["checks"] if "target" in c or "lhs" in c]
             assert estimates, suite
             for c in estimates:
                 assert "n" in c and ("se" in c or {"se_lhs", "se_rhs"} <= set(c)), (suite, c)

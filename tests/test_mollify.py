@@ -35,6 +35,11 @@ class TestKernel:
     def test_dim_constants_differ(self):
         assert kernel_normalization(1) != kernel_normalization(2)
 
+    def test_huge_points_do_not_overflow(self):
+        # |x|^2 overflows beyond |x| ~ 1e154; warnings are errors here
+        assert kappa(np.array([[1e155]]))[0] == 0.0
+        assert np.array_equal(kappa(np.array([[1e200, 0.0], [0.3, -0.4]])), [0.0, kappa([[0.3, -0.4]])[0]])
+
 
 class TestRetraction:
     def test_identity_inside_unit_ball(self):

@@ -97,6 +97,13 @@ class TestLambdaWindow:
             randmeas._window_masses(1.0, (3.0, 2.0), rng, 1)
 
 
+class TestUniformBallSampler:
+    def test_density_of_huge_points_does_not_overflow(self):
+        # |x|^2 overflows beyond |x| ~ 1e154; warnings are errors here
+        _, density = randmeas.uniform_ball_sampler(2)
+        assert np.array_equal(density([[1e200, 0.0], [0.5, 0.5], [1.0, 0.0]]), [0.0, 1.0 / np.pi, 1.0 / np.pi])
+
+
 class TestMlpSampler:
     def test_mass_in_window_and_shape_probability(self, params):
         batch = mlp_window_batch(params, (1.0, 4.0), 50, np.random.default_rng(7))
