@@ -1,4 +1,5 @@
-"""Time each hkgeo kernel, and one Newton step of the LET solver, at a fixed shape.
+"""Time each hkgeo kernel, one Newton step and one forest plan of the LET
+solver, at a fixed shape.
 
 Run:  python benchmarks/bench_kernels.py
 """
@@ -8,6 +9,7 @@ import time
 import numpy as np
 
 from hkgeo import _kernels, let
+from hkgeo.measures import DiscreteMeasure
 
 
 def timeit(fn, *args, repeat=5, warmup=1):
@@ -70,6 +72,37 @@ def bench_schur_step(n0=317, n1=161, eps=1e-3):
     return {KEY: timeit(let._schur_step, gamma, d_out, d_in, grad_out, grad_in, eps)}
 
 
+def _stage_plan(n0, n1, eps_final, newton):
+    """The entropic plan that the solver hands to its forest at eps_final, on
+    a random 2-D ghk problem drawn as perfbench's let_large draws its pairs.
+    Without newton each stage is its opening scaling sweep only, for shapes
+    where the dense Newton step does not fit."""
+    rng = np.random.default_rng(5)
+    mu0, mu1 = (DiscreteMeasure(rng.normal(0, 1.2, (n, 2)), rng.uniform(0.1, 2.0, n)) for n in (n0, n1))
+    w0, w1, cost = mu0.weights, mu1.weights, let.let_problem(mu0, mu1, "ghk").cost
+    f, g = np.zeros(n0), np.zeros(n1)
+    for eps in let.EPS_STAGES:
+        _kernels.scaling_sweep(f, g, np.log(w0), np.log(w1), cost, eps, 1, 0.0)
+        if newton:
+            _, gamma = let._dual_newton(f, g, w0, w1, cost, eps)
+        if eps <= eps_final:
+            break
+    if not newton:
+        gamma = np.exp((f[:, None] + g[None, :] - cost) / eps)
+    return gamma, w0, w1, cost
+
+
+def bench_forest_plan(n0=100, n1=200, eps=1e-4, newton=True):
+    """One forest plan (it overwrites its plan, so each call gets a fresh
+    copy, made outside the timing).  The defaults are a let_large solve's
+    plan at eps = 1e-4."""
+    return {KEY: timeit(let._forest_plan, *_stage_plan(n0, n1, eps, newton))}
+
+
+# ROADMAP's target for one forest plan at n = n0 + n1 ~ 5,400 atoms
+FOREST_TARGET_S = 0.050
+
+
 def main():
     benches = {
         "scaling_sweep (200x400, 300 it)": bench_scaling,
@@ -77,10 +110,14 @@ def main():
         "maxplus       (2000 x 3000)": bench_maxplus,
         "stamp_kernel  (5000 atoms)": bench_stamp,
         "schur_step    (317 x 161)": bench_schur_step,
+        "forest_plan   (100 x 200, eps 1e-4)": bench_forest_plan,
     }
     print(f"{'kernel':36s} {_kernels.BACKEND:>10s}")
     for label, bench in benches.items():
         print(f"{label:36s} {bench()[KEY]*1e3:9.2f}ms")
+    big = bench_forest_plan(3505, 1901, 1e-4, newton=False)[KEY]
+    print(f"{'forest_plan   (3505 x 1901, sweeps)':36s} {big*1e3:9.2f}ms"
+          f"   (target <= {FOREST_TARGET_S*1e3:.0f} ms, not gated)")
 
 
 if __name__ == "__main__":

@@ -162,8 +162,10 @@ def _dual_newton(f, g, w0, w1, cost, eps):
     The negative Hessian [[diag(a + r/eps), gamma/eps], [gamma^T/eps,
     diag(b + s/eps)]] (a = w0 e^{-f}, r, s the plan's marginals) is strictly
     diagonally dominant; each step solves its Schur complement on the smaller
-    side, so the linear system has min(n0, n1) unknowns.  Returns the number
-    of steps taken and the entropic plan at the final (f, g).
+    side, so the linear system has min(n0, n1) unknowns.  Each step's Armijo
+    search starts at twice the stage's last accepted step length, at most 1,
+    and halves it until the rise suffices.  Returns the number of steps
+    taken and the entropic plan at the final (f, g).
 
     Cells whose exponent is below _kernels.EXP_FLOOR start the stage at
     exactly 0, as those below -745 always did by underflow: the floor moves
@@ -176,6 +178,7 @@ def _dual_newton(f, g, w0, w1, cost, eps):
     gamma[gamma < _kernels.EXP_FLOOR] = -np.inf
     with np.errstate(over="ignore"):
         np.exp(gamma, out=gamma)
+    t = 1.0
     for step in range(NEWTON_MAX_STEPS):
         a, b = w0 * np.exp(-f), w1 * np.exp(-g)
         r, s = gamma.sum(axis=1), gamma.sum(axis=0)
@@ -190,7 +193,7 @@ def _dual_newton(f, g, w0, w1, cost, eps):
         slope = float(grad_f @ df + grad_g @ dg)
         # Armijo on the exact change of D_eps, summed from expm1 terms so
         # that it stays accurate when the change is far below D_eps itself
-        t = 1.0
+        t = min(1.0, 2.0 * t)
         while True:
             change = np.add.outer(df * (t / eps), dg * (t / eps))
             with np.errstate(over="ignore"):
@@ -231,57 +234,69 @@ def _forest_plan(gamma, w0, w1, cost):
     """Exact plan on the cells of gamma that carry mass; overwrites gamma.
 
     Prim's algorithm grows a maximum-mass spanning forest of those cells,
-    each tree from its heaviest atom.  On a tree, f_i + g_j = cost_ij on the
-    edges fixes the potentials up to one scalar t (f = a + t on rows,
-    g = b - t on columns), and mass balance sum w0 e^{-f} = sum w1 e^{-g}
-    gives t = log(A+ / A-) / 2 (infinite, hence mass 0, for an atom whose
-    mass underflowed, which no cell joins).  Leaf elimination towards the
-    root gives the flows, so their rounding lands on the heaviest atom.
-    Where tied costs close cycles and a tree flow goes negative, gamma stays
-    on the tight cells off the tree and the tree carries the rest.  An edge
-    whose flow is still negative is not in the optimal support: it is cut
-    and the split trees are solved anew, until no flow is negative.
+    each tree from its heaviest atom: each step takes the free atom of
+    largest key (a taken atom's key is 0), and only a step where no free
+    atom touches the trees looks for the heaviest free atom.  On a tree,
+    f_i + g_j = cost_ij on the edges fixes the potentials up to one scalar t
+    (f = a + t on rows, g = b - t on columns), and mass balance
+    sum w0 e^{-f} = sum w1 e^{-g} gives t = log(A+ / A-) / 2 (infinite,
+    hence mass 0, for an atom whose mass underflowed, which no cell joins).
+    Leaf elimination towards the root gives the flows, so their rounding
+    lands on the heaviest atom; the label pass and the elimination run over
+    Python lists.  Where tied costs close cycles and a tree flow goes
+    negative, gamma stays on the tight cells off the tree and the tree
+    carries the rest.  An edge whose flow is still negative is not in
+    the optimal support: it is cut and the split trees are solved anew,
+    until no flow is negative.
     """
     n0, n = gamma.shape[0], sum(gamma.shape)
     mass = np.concatenate([gamma.sum(axis=1), gamma.sum(axis=0)])
-    share = np.minimum(mass[:n0, None], mass[None, n0:])
-    share *= SUPPORT_RTOL
-    gamma[gamma <= share] = 0.0
-    del share
+    # gamma <= SUPPORT_RTOL * min(row mass, column mass), as two masks
+    light = gamma <= SUPPORT_RTOL * mass[:n0, None]
+    light &= gamma <= SUPPORT_RTOL * mass[None, n0:]
+    gamma[light] = 0.0
+    del light
 
-    order, label, pot = np.empty(n, dtype=int), np.empty(n, dtype=int), np.zeros(n)
+    order, pot = np.empty(n, dtype=int), np.zeros(n)
     parent = np.full(n, -1)  # of a free atom: its neighbour in the trees by its heaviest cell
-    key = np.zeros(n)  # ... and the mass of that cell
+    key = np.zeros(n)  # ... and the mass of that cell; 0 for a taken atom
     free = np.ones(n, dtype=bool)
+    sides = (key[n0:], parent[n0:], free[n0:]), (key[:n0], parent[:n0], free[:n0])
     for step in range(n):
-        v = int(np.argmax(np.where(free, key, -1.0)))
+        v = int(key.argmax())
         if key[v] > 0.0:
             u = parent[v]
             pot[v] = (cost[v, u - n0] if v < n0 else cost[u, v - n0]) - pot[u]
-        else:
-            v = int(np.argmax(np.where(free, mass, -1.0)))
+            key[v] = 0.0
+        else:  # no free atom touches the trees: a new tree starts at the heaviest one
+            v = int(np.where(free, mass, -1.0).argmax())
         order[step], free[v] = v, False
-        cells, side = (gamma[v], slice(n0, n)) if v < n0 else (gamma[:, v - n0], slice(0, n0))
-        better = (cells > key[side]) & free[side]
-        key[side][better] = cells[better]
-        parent[side][better] = v
+        cells, (k, p, fr) = (gamma[v], sides[0]) if v < n0 else (gamma[:, v - n0], sides[1])
+        better = cells > k
+        better &= fr
+        np.copyto(k, cells, where=better)
+        np.copyto(p, v, where=better)
 
     is_col = (np.arange(n) >= n0).astype(int)
     logw = np.concatenate([np.log(w0), np.log(w1)]) - pot
+    order_l = order.tolist()
     while True:
-        kids = order[parent[order] >= 0]
-        trees = 0
-        for v in order:  # parents first: a root, or a kid cut from its parent, starts a tree
-            if parent[v] < 0:
+        par = parent.tolist()
+        label, trees = [0] * n, 0
+        for v in order_l:  # parents first: a root, or a kid cut from its parent, starts a tree
+            if par[v] < 0:
                 label[v], trees = trees, trees + 1
             else:
-                label[v] = label[parent[v]]
+                label[v] = label[par[v]]
+        label = np.array(label)
+        kids = order[parent[order] >= 0]
+        kids_l = kids.tolist()
         lse = np.full((2, trees), -np.inf)
         np.logaddexp.at(lse, (is_col, label), logw)
         t = 0.5 * (lse[0] - lse[1])[label] * (1 - 2 * is_col)  # +t on rows, -t on columns
         exact = np.exp(logw - t)
         floor = -FLOW_RTOL * exact.max()
-        flows = _tree_flows(exact, kids, parent)
+        flows = _tree_flows(exact.tolist(), kids_l, par)
         off = kids[:0], kids[:0]  # tied carrying cells off the forest, which keep their mass
         if flows.min(initial=0.0) < floor:
             slack = np.add.outer(pot[:n0] + t[:n0], pot[n0:] + t[n0:])
@@ -291,7 +306,7 @@ def _forest_plan(gamma, w0, w1, cost):
             keep = (parent[r] != n0 + c) & (parent[n0 + c] != r)
             off = r[keep], c[keep]
             held = np.bincount(off[0], gamma[off], n0), np.bincount(off[1], gamma[off], n - n0)
-            flows = _tree_flows(exact - np.concatenate(held), kids, parent)
+            flows = _tree_flows((exact - np.concatenate(held)).tolist(), kids_l, par)
         cut = flows < floor
         if not cut.any():
             break
@@ -306,13 +321,14 @@ def _forest_plan(gamma, w0, w1, cost):
 
 def _tree_flows(mass, kids, parent):
     """Flows on the edges (kid, parent of kid) that leave every atom with the
-    given mass, by leaf elimination (kids ordered parents first)."""
-    acc = mass.copy()
-    flows = np.empty(len(kids))
+    given mass, by leaf elimination (kids ordered parents first); mass, kids
+    and parent are lists, and mass is used up."""
+    flows = [0.0] * len(kids)
     for k in range(len(kids) - 1, -1, -1):
-        flows[k] = acc[kids[k]]
-        acc[parent[kids[k]]] -= flows[k]
-    return flows
+        v = kids[k]
+        flows[k] = mass[v]
+        mass[parent[v]] -= flows[k]
+    return np.array(flows)
 
 
 def solve_let(problem, tol=1e-9):

@@ -101,14 +101,16 @@ class DiscreteMeasure:
         return f"DiscreteMeasure(n={len(self)}, dim={self.dim}, mass={self.mass:.6g})"
 
     def allclose(self, other, atol=1e-12):
+        """Same atoms and weights up to an absolute difference of atol (no
+        relative tolerance)."""
         if self.dim != other.dim or len(self) != len(other):
             return False
         if len(self) == 0:
             return True
         oi = _lexorder(self.points)
         oj = _lexorder(other.points)
-        return np.allclose(self.points[oi], other.points[oj], atol=atol) and np.allclose(
-            self.weights[oi], other.weights[oj], atol=atol
+        return np.allclose(self.points[oi], other.points[oj], rtol=0.0, atol=atol) and np.allclose(
+            self.weights[oi], other.weights[oj], rtol=0.0, atol=atol
         )
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,100 @@ class TestCertificates:
         assert np.max(lhs - p.cost / 2) <= 1e-9
 
 
+def _logaddexp(a, b):
+    m = max(a, b)
+    return m if m == -math.inf else m + math.log1p(math.exp(-abs(a - b)))
+
+
+def ref_forest_plan(gamma, w0, w1, cost):
+    """Plain-Python reference of the forest plan, one atom or cell at a time:
+    the support threshold, Prim from the heaviest free atom, potentials
+    f_i + g_j = cost_ij on the edges, one balancing t per tree, leaf
+    elimination, the tied cells off the tree, and the cut rounds.  Returns
+    the plan, the number of cut rounds and the number of tied cells kept."""
+    from hkgeo.let import FLOW_RTOL, SUPPORT_RTOL, TIE_RTOL
+
+    n0, n1 = len(w0), len(w1)
+    n = n0 + n1
+    g, c = gamma.tolist(), cost.tolist()
+
+    def cell(v, u):  # the cell joining a row atom and a column atom
+        return (v, u - n0) if v < n0 else (u, v - n0)
+
+    # numpy's sums, not math.fsum: lattices tie atom masses exactly, and a
+    # differently rounded sum would break those ties the other way
+    mass = gamma.sum(axis=1).tolist() + gamma.sum(axis=0).tolist()
+    for i in range(n0):
+        for j in range(n1):
+            if g[i][j] <= SUPPORT_RTOL * min(mass[i], mass[n0 + j]):
+                g[i][j] = 0.0
+    key, parent, pot, free, order = [0.0] * n, [-1] * n, [0.0] * n, [True] * n, []
+    for _ in range(n):
+        cand = [v for v in range(n) if free[v]]
+        v = max(cand, key=lambda u: key[u])  # the first of the largest, as argmax
+        if key[v] > 0.0:
+            i, j = cell(v, parent[v])
+            pot[v] = c[i][j] - pot[parent[v]]
+        else:
+            v = max(cand, key=lambda u: mass[u])
+        free[v] = False
+        order.append(v)
+        for u in (range(n0, n) if v < n0 else range(n0)):
+            i, j = cell(v, u)
+            if free[u] and g[i][j] > key[u]:
+                key[u], parent[u] = g[i][j], v
+    logw = [math.log(x) - p for x, p in zip(list(w0) + list(w1), pot)]
+    kids = [v for v in order if parent[v] >= 0]
+    cut_rounds = 0
+    while True:
+        label, trees = [0] * n, 0
+        for v in order:
+            if parent[v] < 0:
+                label[v], trees = trees, trees + 1
+            else:
+                label[v] = label[parent[v]]
+        lse = [[-math.inf] * trees, [-math.inf] * trees]
+        for v in range(n):
+            side = int(v >= n0)
+            lse[side][label[v]] = _logaddexp(lse[side][label[v]], logw[v])
+        t = [0.5 * (lse[0][label[v]] - lse[1][label[v]]) * (1 if v < n0 else -1) for v in range(n)]
+        exact = [math.exp(logw[v] - t[v]) for v in range(n)]
+        floor = -FLOW_RTOL * max(exact)
+
+        def flows_for(target):
+            acc, flows = list(target), {}
+            for v in reversed(kids):
+                flows[v] = acc[v]
+                acc[parent[v]] -= acc[v]
+            return flows
+
+        flows, off = flows_for(exact), []
+        if min(flows.values(), default=0.0) < floor:
+            held = list(exact)
+            for i in range(n0):
+                for j in range(n1):
+                    slack = (pot[i] + t[i]) + (pot[n0 + j] + t[n0 + j]) - c[i][j]
+                    if (g[i][j] > 0 and abs(slack) <= TIE_RTOL * (1.0 + c[i][j])
+                            and parent[i] != n0 + j and parent[n0 + j] != i):
+                        off.append((i, j))
+                        held[i] -= g[i][j]
+                        held[n0 + j] -= g[i][j]
+            flows = flows_for(held)
+        cut = [v for v in kids if flows[v] < floor]
+        if not cut:
+            break
+        cut_rounds += 1
+        for v in cut:
+            parent[v] = -1
+        kids = [v for v in kids if parent[v] >= 0]
+    plan = np.zeros((n0, n1))
+    for i, j in off:
+        plan[i, j] = g[i][j]
+    for v in kids:
+        plan[cell(v, parent[v])] = max(flows[v], 0.0)
+    return plan, cut_rounds, len(off)
+
+
 class TestSolverPath:
     """The annealed dual-Newton / spanning-forest path and its telemetry."""
 
@@ -304,6 +400,37 @@ class TestSolverPath:
             m = mollify(mu, cfg)
             s = solve_let(LetProblem(nu, m, cost_matrix_sq(nu, m)), 5e-3)
             assert s.converged and s.epsilon_final >= 1e-4
+
+    def test_forest_matches_plain_python_reference(self, monkeypatch):
+        # every stage's entropic plan of random problems with 1-40 atoms, of
+        # the tied 3 x 3 lattice and of a 100 x 200 problem goes to both
+        from hkgeo import let
+
+        plans = []
+
+        def record(gamma, w0, w1, cost):
+            plans.append((gamma.copy(), w0, w1, cost))
+            return forest(gamma, w0, w1, cost)
+
+        forest = let._forest_plan
+        monkeypatch.setattr(let, "_forest_plan", record)
+        rng = np.random.default_rng(31)
+        for k in range(16):
+            n0, n1 = rng.integers(1, 41, 2)
+            solve_let(let_problem(random_measure(rng, n0), random_measure(rng, n1), ("ghk", "hk")[k % 2]), TOL)
+        grid = np.array([[i, j] for i in range(3) for j in range(3)], dtype=float)
+        m0 = DiscreteMeasure(0.3 * grid, np.tile([1.0, 2.0], 5)[:9])
+        solve_let(let_problem(m0, DiscreteMeasure(0.3 * grid, np.ones(9)), "ghk"), TOL)
+        solve_let(let_problem(random_measure(rng, 100, scale=1.2), random_measure(rng, 200, scale=1.2), "ghk"), TOL)
+        cuts = tied = 0
+        for gamma, w0, w1, cost in plans:
+            ref, ref_cuts, ref_tied = ref_forest_plan(gamma, w0, w1, cost)
+            plan = forest(gamma.copy(), w0, w1, cost)
+            atol = 1e-12 * ref.max(initial=0.0)  # leaf elimination leaves rounding on the root's edges
+            assert np.array_equal(plan > atol, ref > atol)
+            assert np.allclose(plan, ref, rtol=1e-9, atol=atol)
+            cuts, tied = cuts + ref_cuts, tied + ref_tied
+        assert len(plans) > 60 and cuts > 0 and tied > 0
 
     def test_newton_systems_have_min_side_unknowns(self, monkeypatch):
         from hkgeo import let

@@ -72,6 +72,16 @@ class TestDiscreteMeasure:
         with pytest.raises(ValueError):
             mu.weights[0] = 5.0
 
+    def test_allclose_tolerance_is_absolute(self):
+        # numpy's default rtol = 1e-5 would accept both of these pairs
+        tight = 1e-12
+        w = DiscreteMeasure([[0.0]], [1.0])
+        assert not w.allclose(DiscreteMeasure([[0.0]], [1.000005]), atol=tight)
+        x = DiscreteMeasure([[1000.0]], [1.0])
+        assert not x.allclose(DiscreteMeasure([[1000.005]], [1.0]), atol=tight)
+        assert x.allclose(DiscreteMeasure([[1000.005]], [1.0]), atol=0.01)
+        assert w.allclose(DiscreteMeasure([[0.0]], [1.0 + 1e-13]), atol=tight)
+
 
 class TestHellinger:
     def test_identical(self):
