@@ -43,6 +43,13 @@ def bench_euler(n_paths=2000, n_steps=2000):
     return {KEY: timeit(_kernels.euler_besq_paths, 1.0, 1.5, 1e-3, normals)}
 
 
+def bench_euler_exit(n_paths=1000, n_steps=500):
+    """One segment of empirical_hitting: x0 = 1, theta = 1.5, (a, b) = (0.5, 2)."""
+    rng = np.random.default_rng(1)
+    normals = rng.standard_normal((n_paths, n_steps))
+    return {KEY: timeit(_kernels.euler_besq_exit, np.ones(n_paths), 1.5, 0.5, 2.0, 2.5e-4, normals)}
+
+
 def bench_maxplus(n=2000, m=3000):
     rng = np.random.default_rng(2)
     xs = np.linspace(-1, 1, n)
@@ -107,6 +114,7 @@ def main():
     benches = {
         "scaling_sweep (200x400, 300 it)": bench_scaling,
         "euler_besq    (2000 x 2000)": bench_euler,
+        "euler_exit    (1000 x 500)": bench_euler_exit,
         "maxplus       (2000 x 3000)": bench_maxplus,
         "stamp_kernel  (5000 atoms)": bench_stamp,
         "schur_step    (317 x 161)": bench_schur_step,

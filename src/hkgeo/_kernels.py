@@ -1,5 +1,7 @@
 """Hot numeric kernels, one vectorised numpy implementation each.
 
+The two Euler kernels share one time-major stepping loop, _euler_rows.
+
 ``benchmarks/bench_kernels.py`` times them at fixed shapes.
 """
 
@@ -75,49 +77,80 @@ def _lse(m, eps, axis):
     return (top + np.log(m.sum(axis=axis, keepdims=True))).ravel(), live.ravel()
 
 
-def _euler_step(x, theta, sq, dt, z):
-    """One full-truncation Euler step for dx = sqrt(2 x^+) dW + theta dt,
-    before the clip at 0; sq = sqrt(dt), z standard normals."""
-    return x + np.sqrt(2.0 * np.maximum(x, 0.0)) * sq * z + theta * dt
+# Steps per block of normals transposed into the time-major loop: a block
+# of 128 x 2,000 doubles is 2 MB, and transposing all normals at once would
+# double their memory.
+EULER_BLOCK = 128
+
+
+def _euler_rows(x0, theta, dt, normals):
+    """Full-truncation Euler x <- max(x + sqrt(2 x^+) sqrt(dt) z + theta dt, 0),
+    time-major.
+
+    x0: a scalar or one state per path; normals: (n_paths, n_steps).  The
+    states are held as rows of an (n_steps + 1, n_paths) array, and the
+    normals are transposed one block of EULER_BLOCK steps at a time, so every
+    step reads and writes contiguous rows.  Each step is evaluated in place,
+    in the order x + ((sqrt(2 max(x, 0)) sqrt(dt)) z) + theta dt, into its
+    row of the block, where the steps below 0 are counted before the clip.
+    Returns the states and the number of clipped steps.
+    """
+    n_paths, n_steps = normals.shape
+    xt = np.empty((n_steps + 1, n_paths))
+    xt[0] = x0
+    sq = np.sqrt(dt)
+    drift = theta * dt
+    s = np.empty(n_paths)
+    zb = np.empty((min(EULER_BLOCK, n_steps), n_paths))
+    clipped = 0
+    for n0 in range(0, n_steps, EULER_BLOCK):
+        z = zb[: min(EULER_BLOCK, n_steps - n0)]
+        z[...] = normals[:, n0 : n0 + len(z)].T
+        for n, step in enumerate(z, n0):
+            x = xt[n]
+            np.maximum(x, 0.0, out=s)
+            s *= 2.0
+            np.sqrt(s, out=s)
+            s *= sq
+            step *= s
+            step += x
+            step += drift
+            np.maximum(step, 0.0, out=xt[n + 1])
+        clipped += int(np.count_nonzero(z < 0.0))
+    return xt, clipped
 
 
 def euler_besq_paths(x0, theta, dt, normals):
     """Full-truncation Euler for dx = sqrt(2 x^+) dW + theta dt.
 
     normals: (n_paths, n_steps) standard normals.  Returns the path matrix
-    (n_paths, n_steps + 1) and the fraction of clipped steps.
+    (n_paths, n_steps + 1), an F-ordered view of the time-major states, and
+    the fraction of clipped steps.
     """
     n_paths, n_steps = normals.shape
-    x = np.empty((n_paths, n_steps + 1))
-    x[:, 0] = x0
-    sq = np.sqrt(dt)
-    clipped = 0
-    for n in range(n_steps):
-        step = _euler_step(x[:, n], theta, sq, dt, normals[:, n])
-        clipped += int(np.sum(step < 0.0))
-        x[:, n + 1] = np.maximum(step, 0.0)
-    return x, clipped / float(n_paths * n_steps)
+    xt, clipped = _euler_rows(x0, theta, dt, normals)
+    return xt.T, clipped / float(n_paths * n_steps)
 
 
 def euler_besq_exit(x0, theta, a, b, dt, normals):
     """Run Euler paths from per-path states until exit from (a, b); returns
     (labels, final states): label +1 where b is hit first, 0 where a is hit
-    first, -1 where the step budget ran out."""
+    first, -1 where the step budget ran out.  Every path runs the whole
+    budget; one argmax over the steps finds each path's first exit, and an
+    exited path's final state is its state at that exit."""
     n_paths, n_steps = normals.shape
+    xt, _ = _euler_rows(x0, theta, dt, normals)
     out = np.full(n_paths, -1, dtype=np.int64)
-    x = np.array(x0, dtype=float).copy()
-    idx = np.arange(n_paths)  # the paths still inside (a, b)
-    sq = np.sqrt(dt)
-    for n in range(n_steps):
-        if not len(idx):
-            break
-        x[idx] = xa = np.maximum(_euler_step(x[idx], theta, sq, dt, normals[idx, n]), 0.0)
-        hit_a = xa <= a
-        hit_b = xa >= b
-        out[idx[hit_a]] = 0
-        out[idx[hit_b]] = 1
-        idx = idx[~(hit_a | hit_b)]
-    return out, x
+    final = xt[-1].copy()
+    if n_steps:
+        steps = xt[1:]
+        exited = steps <= a
+        exited |= steps >= b
+        first = exited.argmax(axis=0)
+        cols = np.flatnonzero(exited[first, np.arange(n_paths)])
+        final[cols] = x_exit = steps[first[cols], cols]
+        out[cols] = x_exit >= b
+    return out, final
 
 
 def maxplus_transform(xs, ys, psi):

@@ -37,9 +37,11 @@ __all__ = [
 
 def simulate_besq_batch(theta, x0, T, dt, rng, n_paths):
     """Full-truncation Euler paths x <- max(x + sqrt(2 x^+) dW + theta dt, 0)
-    as an (n_paths, n_steps + 1) array of states >= 0, plus the time grid
-    k dt, k = 0..n_steps, and the fraction of clipped steps (vanishes as
-    dt -> 0 for x0 > 0, theta >= 1)."""
+    as an (n_paths, n_steps + 1) array of states >= 0 (an F-ordered view of
+    the time-major states), plus the time grid k dt, k = 0..n_steps, and the
+    fraction of clipped steps (vanishes as dt -> 0 for x0 > 0, theta >= 1)."""
+    if n_paths < 1:
+        raise ValueError("need n_paths >= 1")
     if theta < 0 or x0 < 0:
         raise ValueError("theta and x0 must be >= 0")
     if dt <= 0 or dt > T / 10:
@@ -83,6 +85,8 @@ def empirical_hitting(theta, a, x, b, dt, n_paths, rng, t_max=200.0):
     HITTING_SEGMENT_STEPS steps, each drawing normals only for the paths
     still alive, so resolved paths stop consuming budget; unresolved paths
     after t_max count toward neither side and are reported."""
+    if not 0 < a < x < b:
+        raise ValueError("need 0 < a < x < b")
     states = np.full(n_paths, float(x))
     hits_a = 0
     hits_b = 0

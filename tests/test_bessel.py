@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import mpmath
@@ -61,6 +63,23 @@ class TestEuler:
         assert abs(m1 - m2) <= 3 * np.hypot(s1, s2)
         assert exact.mean() == pytest.approx(x0 + theta * T, abs=3 * s2)
 
+    def test_no_paths_rejected(self):
+        with pytest.raises(ValueError, match="n_paths"):
+            simulate_besq_batch(1.0, 1.0, 1.0, 1e-2, np.random.default_rng(0), 0)
+
+    def test_memory_peak_near_normals_plus_paths(self):
+        # the Euler loop transposes the normals one block at a time: no
+        # whole-matrix copy of the normals and no C-order copy of the paths
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            paths, _, _ = simulate_besq_batch(1.5, 1.0, 1.0, 1e-3, rng, 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        normals_bytes = paths.shape[0] * (paths.shape[1] - 1) * 8
+        assert peak <= 1.2 * (normals_bytes + paths.nbytes)
+
 
 class TestHitting:
     def test_log_scale_midpoint(self):
@@ -80,6 +99,16 @@ class TestHitting:
     def test_ordering_validation(self):
         with pytest.raises(ValueError):
             hitting_prob(1.0, 1.0, 0.5, 2.0)
+
+    @pytest.mark.parametrize("a, x, b", [(0.5, 3.0, 2.0), (0.5, 0.2, 2.0), (0.5, 2.0, 2.0), (0.0, 1.0, 2.0)])
+    def test_empirical_ordering_validation(self, a, x, b):
+        with pytest.raises(ValueError, match="0 < a < x < b"):
+            empirical_hitting(1.0, a, x, b, 2.5e-4, 10, np.random.default_rng(0))
+
+    def test_empirical_workload_counts(self):
+        # the perfbench montecarlo call, counts pinned
+        res = empirical_hitting(1.5, 0.5, 1.0, 2.0, 2.5e-4, 1000, np.random.default_rng(118))
+        assert res == {"hit_a": 409, "hit_b": 591, "unresolved": 0, "n": 1000}
 
     @pytest.mark.parametrize("theta", [0.5, 1.0, 1.5, 3.0])
     def test_empirical_frequencies_match_scale_formula(self, theta):

@@ -100,6 +100,12 @@ class TestSimulateSample:
         assert rows[0] == ["t", "x0", "x1", "x2"]
         assert len(rows) == 22
 
+    def test_besq_zero_paths_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        assert main(["simulate", "besq", "--theta", "1.0", "--x0", "1.0", "--T", "0.2", "--dt", "1e-2",
+                     "--paths", "0", "--seed", "5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_sample_df_probabilities(self, tmp_path):
         out = tmp_path / "df.jsonl"
         code = main(["sample", "df", "--beta", "1.0", "--n", "10", "--seed", "1",

@@ -50,9 +50,10 @@ def ref_euler_besq_paths(x0, theta, dt, normals):
     n_paths, n_steps = normals.shape
     x = np.empty((n_paths, n_steps + 1))
     sq = math.sqrt(dt)
+    x0 = np.broadcast_to(x0, n_paths)  # a scalar or one state per path
     clipped = 0
     for p in range(n_paths):
-        x[p, 0] = x0
+        x[p, 0] = x0[p]
         for n in range(n_steps):
             step = _euler_step(x[p, n], theta, sq, dt, normals[p, n])
             if step < 0.0:
@@ -170,6 +171,62 @@ class TestBackendsAgree:
         o2, f2 = _kernels.euler_besq_exit(x0, 1.0, 0.5, 2.0, 1e-3, normals)
         assert np.array_equal(o1, o2)
         assert np.array_equal(f1, f2)
+
+    # step counts at the edges of the blocks of normals the Euler loop transposes
+    EULER_STEPS = [1, _kernels.EULER_BLOCK - 1, _kernels.EULER_BLOCK, _kernels.EULER_BLOCK + 1, 300]
+
+    @pytest.mark.parametrize("n_steps", EULER_STEPS)
+    def test_euler_paths_block_edges(self, rng, n_steps):
+        # per-path starts from 0, at a coarse dt and a small drift, clip often
+        x0 = np.array([0.0, 0.0, 1e-3, 0.05, 0.3, 1.0, 2.5])
+        normals = rng.standard_normal((len(x0), n_steps))
+        x1, c1 = ref_euler_besq_paths(x0, 0.3, 1e-2, normals)
+        x2, c2 = _kernels.euler_besq_paths(x0, 0.3, 1e-2, normals)
+        assert np.array_equal(x1, x2)
+        assert c1 == c2
+        if n_steps >= 100:
+            assert c1 > 0
+
+    @pytest.mark.parametrize("n_steps", EULER_STEPS)
+    def test_euler_paths_absorbing(self, rng, n_steps):
+        # theta = 0 from x0 = 0 stays at 0, and no step counts as clipped
+        normals = rng.standard_normal((5, n_steps))
+        x1, c1 = ref_euler_besq_paths(0.0, 0.0, 1e-2, normals)
+        x2, c2 = _kernels.euler_besq_paths(0.0, 0.0, 1e-2, normals)
+        assert np.array_equal(x1, x2) and not x2.any()
+        assert c1 == c2 == 0.0
+
+    @pytest.mark.parametrize("n_steps", EULER_STEPS)
+    def test_euler_exit_block_edges(self, rng, n_steps):
+        # x0 = 0 exits at a and x0 = 3 at b on the first step; x0 = 1 paths
+        # stay inside for a while, and some never exit
+        x0 = np.concatenate([[0.0, 3.0], np.full(30, 1.0), rng.uniform(0.6, 1.9, 30)])
+        normals = rng.standard_normal((len(x0), n_steps))
+        o1, f1 = ref_euler_besq_exit(x0, 1.5, 0.5, 2.0, 1e-3, normals)
+        o2, f2 = _kernels.euler_besq_exit(x0, 1.5, 0.5, 2.0, 1e-3, normals)
+        assert np.array_equal(o1, o2)
+        assert np.array_equal(f1, f2)
+        assert o2[0] == 0 and f2[0] == 1.5e-3
+        assert o2[1] == 1
+        assert np.any(o2 == -1)
+
+    def test_euler_exit_absorbing(self, rng):
+        # theta = 0 from x0 = 0: every path exits at a on its first step at 0
+        normals = rng.standard_normal((4, _kernels.EULER_BLOCK + 1))
+        o1, f1 = ref_euler_besq_exit(np.zeros(4), 0.0, 0.5, 2.0, 1e-2, normals)
+        o2, f2 = _kernels.euler_besq_exit(np.zeros(4), 0.0, 0.5, 2.0, 1e-2, normals)
+        assert np.array_equal(o1, o2) and np.array_equal(f1, f2)
+        assert not o2.any() and not f2.any()
+
+    def test_euler_exit_on_boundary(self, rng):
+        # from 0, a pure drift step of theta dt lands exactly on a (or b):
+        # a path on the boundary has exited
+        normals = rng.standard_normal((3, 2))
+        for theta, label in ((1.0, 0), (4.0, 1)):
+            o1, f1 = ref_euler_besq_exit(np.zeros(3), theta, 0.5, 2.0, 0.5, normals)
+            o2, f2 = _kernels.euler_besq_exit(np.zeros(3), theta, 0.5, 2.0, 0.5, normals)
+            assert np.array_equal(o1, o2) and np.array_equal(f1, f2)
+            assert np.all(o2 == label) and np.all(f2 == theta * 0.5)
 
     def test_maxplus(self, rng):
         xs = np.linspace(-2, 2, 101)
