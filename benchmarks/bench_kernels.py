@@ -76,7 +76,8 @@ def bench_schur_step(n0=317, n1=161, eps=1e-3):
     d_out = rng.uniform(0.2, 2, n0) + gamma.sum(axis=1) / eps
     d_in = rng.uniform(0.2, 2, n1) + gamma.sum(axis=0) / eps
     grad_out, grad_in = rng.normal(size=n0), rng.normal(size=n1)
-    return {KEY: timeit(let._schur_step, gamma, d_out, d_in, grad_out, grad_in, eps)}
+    scratch = np.empty_like(gamma), np.empty_like(gamma), np.empty(gamma.shape, dtype=bool), np.empty((n1, n1))
+    return {KEY: timeit(let._schur_step, gamma, d_out, d_in, grad_out, grad_in, eps, scratch)}
 
 
 def _stage_plan(n0, n1, eps_final, newton):
@@ -88,10 +89,11 @@ def _stage_plan(n0, n1, eps_final, newton):
     mu0, mu1 = (DiscreteMeasure(rng.normal(0, 1.2, (n, 2)), rng.uniform(0.1, 2.0, n)) for n in (n0, n1))
     w0, w1, cost = mu0.weights, mu1.weights, let.let_problem(mu0, mu1, "ghk").cost
     f, g = np.zeros(n0), np.zeros(n1)
+    gamma = np.empty(cost.shape)
     for eps in let.EPS_STAGES:
         _kernels.scaling_sweep(f, g, np.log(w0), np.log(w1), cost, eps, 1, 0.0)
         if newton:
-            _, gamma = let._dual_newton(f, g, w0, w1, cost, eps)
+            let._dual_newton(f, g, w0, w1, cost, eps, gamma)
         if eps <= eps_final:
             break
     if not newton:

@@ -34,7 +34,6 @@ from .let import (
     lift_to_cone,
     limit_diagnostics,
     solve_let,
-    solve_let_exact_small,
     verify_optimality,
 )
 from .mollify import MollifierConfig, mollify, weak_error

@@ -8,6 +8,7 @@ hypergeometric eigenfunctions, and Monte-Carlo estimates of the
 measure-space Dirichlet form close the radial-isomorphism loop.
 """
 
+import math
 from math import gamma as gamma_fn
 
 import numpy as np
@@ -62,19 +63,19 @@ def besq_exact_terminal(theta, x0, t, rng, n):
     return s * rng.gamma(theta + pois, 2.0)
 
 
-def _scale_function(theta, t):
-    if theta == 1.0:
-        return np.log(t)
-    return t ** (1.0 - theta) / (1.0 - theta)
-
-
 def hitting_prob(theta, a, x, b):
     """P(hit a before b from x) = (s(b) - s(x)) / (s(b) - s(a)) with the
-    scale function s' = t^{-theta} of the generator t f'' + theta f'."""
+    scale function s' = t^{-theta} of the generator t f'' + theta f'.
+    With k = 1 - theta, s(v) - s(u) = u^k expm1(k log(v/u)) / k, so the
+    ratio is (x/a)^k expm1(k log(b/x)) / expm1(k log(b/a)): no difference
+    of powers cancels near theta = 1, where it tends to the log-scale
+    value log(b/x) / log(b/a)."""
     if not 0 < a < x < b:
         raise ValueError("need 0 < a < x < b")
-    sa, sx, sb = (_scale_function(theta, v) for v in (a, x, b))
-    return float((sb - sx) / (sb - sa))
+    k, near, far = 1.0 - theta, math.log(b / x), math.log(b / a)
+    if k == 0.0:
+        return near / far
+    return float((x / a) ** k * math.expm1(k * near) / math.expm1(k * far))
 
 
 HITTING_SEGMENT_STEPS = 500  # Euler steps per block of normals drawn for the live paths

@@ -13,7 +13,6 @@ decides when the loop stops.
 """
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import xlogy
 
 from . import _kernels
@@ -25,7 +24,6 @@ __all__ = [
     "LetSolution",
     "let_problem",
     "solve_let",
-    "solve_let_exact_small",
     "ghk_sq",
     "hk_sq",
     "verify_optimality",
@@ -149,14 +147,14 @@ SCHUR_FLOOR = 1e-100
 def _ensure_let_fits(n0, n1):
     """Refuse, before allocating, a dense LET problem that does not fit in
     free memory.  The bound counts 7 n0 x n1 arrays (tracemalloc peaks of
-    5.1-6.4 with the cost matrix, on grid pairs and on random problems with
+    5.2-6.7 with the cost matrix, on grid pairs and on random problems with
     and without eliminated atoms, converged or not), the Schur system and
     its LAPACK copy, and 32 vectors of n0 + n1."""
     floats = 7 * n0 * n1 + 2 * min(n0, n1) ** 2 + 32 * (n0 + n1)
     _ensure_fits(floats, f"a dense {n0} x {n1} LET problem")
 
 
-def _dual_newton(f, g, w0, w1, cost, eps):
+def _dual_newton(f, g, w0, w1, cost, eps, gamma):
     """Maximise the entropic dual D_eps over (f, g), in place, by damped Newton.
 
     The negative Hessian [[diag(a + r/eps), gamma/eps], [gamma^T/eps,
@@ -164,38 +162,49 @@ def _dual_newton(f, g, w0, w1, cost, eps):
     diagonally dominant; each step solves its Schur complement on the smaller
     side, so the linear system has min(n0, n1) unknowns.  Each step's Armijo
     search starts at twice the stage's last accepted step length, at most 1,
-    and halves it until the rise suffices.  Returns the number of steps
-    taken and the entropic plan at the final (f, g).
+    and halves it until the rise suffices.  gamma, an array of cost's shape,
+    receives the entropic plan at the final (f, g); returns the number of
+    steps taken.
+
+    The stage allocates one scratch set, which every step reuses: the floored
+    plan (the line search's change once the step is known), the share p, a
+    mask and the Schur matrix, so no step allocates a plan-sized array.
 
     Cells whose exponent is below _kernels.EXP_FLOOR start the stage at
     exactly 0, as those below -745 always did by underflow: the floor moves
     that cut from 5e-324 to 1e-304 and keeps subnormals, which slow every
     dense pass over the plan, out of it.
     """
-    gamma = f[:, None] + g[None, :]  # the entropic plan exp((f_i + g_j - cost_ij) / eps)
+    np.add.outer(f, g, out=gamma)  # the entropic plan exp((f_i + g_j - cost_ij) / eps)
     gamma -= cost
     gamma /= eps
-    gamma[gamma < _kernels.EXP_FLOOR] = -np.inf
+    floored, p, mask = np.empty(gamma.shape), np.empty(gamma.shape), np.empty(gamma.shape, dtype=bool)
+    np.less(gamma, _kernels.EXP_FLOOR, out=mask)
+    np.copyto(gamma, -np.inf, where=mask)
     with np.errstate(over="ignore"):
         np.exp(gamma, out=gamma)
+    flip = len(g) > len(f)  # the Schur complement goes on the smaller side
+    schur = np.empty((min(gamma.shape),) * 2)
+    scratch = (floored.T, p.T, mask.T, schur) if flip else (floored, p, mask, schur)
+    change = floored
     t = 1.0
     for step in range(NEWTON_MAX_STEPS):
         a, b = w0 * np.exp(-f), w1 * np.exp(-g)
         r, s = gamma.sum(axis=1), gamma.sum(axis=0)
         grad_f, grad_g = a - r, b - s
         if (np.abs(grad_f) <= NEWTON_RTOL * a).all() and (np.abs(grad_g) <= NEWTON_RTOL * b).all():
-            return step, gamma
+            return step
         d0, d1 = np.maximum(a + r / eps, TINY), np.maximum(b + s / eps, TINY)
-        if len(g) <= len(f):
-            df, dg = _schur_step(gamma, d0, d1, grad_f, grad_g, eps)
+        if flip:
+            dg, df = _schur_step(gamma.T, d1, d0, grad_g, grad_f, eps, scratch)
         else:
-            dg, df = _schur_step(gamma.T, d1, d0, grad_g, grad_f, eps)
+            df, dg = _schur_step(gamma, d0, d1, grad_f, grad_g, eps, scratch)
         slope = float(grad_f @ df + grad_g @ dg)
         # Armijo on the exact change of D_eps, summed from expm1 terms so
         # that it stays accurate when the change is far below D_eps itself
         t = min(1.0, 2.0 * t)
         while True:
-            change = np.add.outer(df * (t / eps), dg * (t / eps))
+            np.add.outer(df * (t / eps), dg * (t / eps), out=change)
             with np.errstate(over="ignore"):
                 np.expm1(np.minimum(change, 700.0, out=change), out=change)
                 change *= gamma
@@ -204,30 +213,33 @@ def _dual_newton(f, g, w0, w1, cost, eps):
                 break
             t *= 0.5
             if t < 1e-10:  # no ascent left at floating-point resolution
-                return step, gamma
+                return step
         f += t * df
         g += t * dg
         gamma += change
-        del change
-    return NEWTON_MAX_STEPS, gamma
+    return NEWTON_MAX_STEPS
 
 
-def _schur_step(gamma, d_out, d_in, grad_out, grad_in, eps):
+def _schur_step(gamma, d_out, d_in, grad_out, grad_in, eps, scratch):
     """Newton step of [[diag(d_out), gamma/eps], [gamma^T/eps, diag(d_in)]]
     with the first block eliminated: the system solved is the Schur
     complement, of the size of the second block.  Cells whose share
     gamma_ij / (eps d_out_i) of their row is below SCHUR_FLOOR are left out
     of both factors of gamma^T p and of the back-substitution; the gradient
     and the line search keep them, so the Newton fixed point cannot move,
-    and the step moves by an ulp at most."""
+    and the step moves by an ulp at most.  scratch = (floored, p, mask,
+    schur), three arrays of gamma's shape (the mask bool) and one square of
+    d_in's size, is overwritten."""
+    floored, p, mask, schur = scratch
     scale = eps * d_out[:, None]
-    gamma = np.where(gamma < SCHUR_FLOOR * scale, 0.0, gamma)
-    p = gamma / scale
-    schur = gamma.T @ p
+    np.greater_equal(gamma, SCHUR_FLOOR * scale, out=mask)
+    np.multiply(gamma, mask, out=floored)
+    np.divide(floored, scale, out=p)
+    np.matmul(floored.T, p, out=schur)
     schur /= -eps
     schur.ravel()[:: len(d_in) + 1] += d_in  # the diagonal, as a view
     step_in = np.linalg.solve(schur, grad_in - p.T @ grad_out)
-    return (grad_out - gamma @ step_in / eps) / d_out, step_in
+    return (grad_out - floored @ step_in / eps) / d_out, step_in
 
 
 def _forest_plan(gamma, w0, w1, cost):
@@ -368,13 +380,14 @@ def solve_let(problem, tol=1e-9):
         sub_cost = cost if whole else cost[live]
         sw0, sw1 = w0[live0], w1[live1]
         f, g = np.zeros(len(sw0)), np.zeros(len(sw1))
+        logw0, logw1 = np.log(sw0), np.log(sw1)
+        gamma = np.empty(sub_cost.shape)  # each stage's plan, refilled by _dual_newton
         for eps in EPS_STAGES:
             # one block-coordinate ascent sweep puts every atom's mass in range
             # for Newton, which moves a potential from far off by ~1 per step
-            _kernels.scaling_sweep(f, g, np.log(sw0), np.log(sw1), sub_cost, eps, 1, 0.0)
-            steps, gamma = _dual_newton(f, g, sw0, sw1, sub_cost, eps)
+            _kernels.scaling_sweep(f, g, logw0, logw1, sub_cost, eps, 1, 0.0)
+            steps = _dual_newton(f, g, sw0, sw1, sub_cost, eps, gamma)
             stage = judge(_forest_plan(gamma, sw0, sw1, sub_cost), eps)
-            del gamma
             stats.append((eps, steps, stage[0]))
             if best is None or stage[0] < best[0]:
                 best = stage
@@ -400,32 +413,6 @@ def solve_let(problem, tol=1e-9):
         converged=gap <= tol * (1.0 + abs(primal)),
         stats=stats,
     )
-
-
-def solve_let_exact_small(problem):
-    """Optimal LET value for supports <= 3 by SLSQP on the dual, an oracle
-    independent of solve_let: maximise sum w (1 - e^{-z}) subject to
-    z_i + z_j <= cost_ij on finite cells; atoms with no finite cell add
-    their full mass."""
-    n0, n1 = problem.cost.shape
-    if n0 > 3 or n1 > 3:
-        raise ValueError("exact oracle is for supports <= 3")
-    finite = np.isfinite(problem.cost)
-    ii, jj = np.nonzero(finite)
-    a = np.zeros((len(ii), n0 + n1))
-    a[np.arange(len(ii)), ii] = a[np.arange(len(ii)), n0 + jj] = 1.0
-    live = np.concatenate([finite.any(axis=1), finite.any(axis=0)])
-    w = np.concatenate([problem.mu0.weights, problem.mu1.weights])
-    a, wl = a[:, live], w[live]
-    res = minimize(
-        lambda z: wl @ np.expm1(-z),
-        np.zeros(len(wl)),
-        jac=lambda z: -wl * np.exp(-z),
-        method="SLSQP",
-        constraints=[{"type": "ineq", "fun": lambda z: problem.cost[ii, jj] - a @ z, "jac": lambda z: -a}],
-        options={"ftol": 1e-16, "maxiter": 1000},
-    ) if live.any() else None
-    return float(w[~live].sum() - (res.fun if res else 0.0))
 
 
 def ghk_sq(mu0, mu1, tol=1e-9):

@@ -100,6 +100,17 @@ class TestHitting:
         with pytest.raises(ValueError):
             hitting_prob(1.0, 1.0, 0.5, 2.0)
 
+    @pytest.mark.parametrize("theta", [1 - 1e-12, 1 + 1e-12, 1 - 1e-8, 1 + 1e-8, 0.7, 1.5])
+    @pytest.mark.parametrize("a, x, b", [(0.5, 1.0, 2.0), (0.3, 1.1, 4.0)])
+    def test_matches_mpmath_near_theta_one(self, theta, a, x, b):
+        # (b^k - x^k) / (b^k - a^k), k = 1 - theta, at 50 digits: the
+        # difference of powers cancels in floating point as theta -> 1
+        with mpmath.workdps(50):
+            k = 1 - mpmath.mpf(theta)
+            a, x, b = (mpmath.mpf(v) for v in (a, x, b))
+            exact = float((b**k - x**k) / (b**k - a**k))
+        assert hitting_prob(theta, float(a), float(x), float(b)) == pytest.approx(exact, rel=1e-12)
+
     @pytest.mark.parametrize("a, x, b", [(0.5, 3.0, 2.0), (0.5, 0.2, 2.0), (0.5, 2.0, 2.0), (0.0, 1.0, 2.0)])
     def test_empirical_ordering_validation(self, a, x, b):
         with pytest.raises(ValueError, match="0 < a < x < b"):

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+from hkgeo import _kernels, let
 from hkgeo.measures import DiscreteMeasure, cost_matrix_sq, dilate, hellinger_sq, wasserstein_sq
 from hkgeo.let import (
     LetProblem,
@@ -13,7 +15,6 @@ from hkgeo.let import (
     lift_to_cone,
     limit_diagnostics,
     solve_let,
-    solve_let_exact_small,
     verify_optimality,
 )
 
@@ -34,6 +35,32 @@ def ghk_single_atom(a, b, d):
 
 def hk_single_atom(a, b, d):
     return a + b - 2.0 * np.sqrt(a * b) * np.cos(min(d, np.pi / 2))
+
+
+def solve_let_exact_small(problem):
+    """Optimal LET value for supports <= 3 by SLSQP on the dual, an oracle
+    independent of solve_let: maximise sum w (1 - e^{-z}) subject to
+    z_i + z_j <= cost_ij on finite cells; atoms with no finite cell add
+    their full mass."""
+    n0, n1 = problem.cost.shape
+    if n0 > 3 or n1 > 3:
+        raise ValueError("exact oracle is for supports <= 3")
+    finite = np.isfinite(problem.cost)
+    ii, jj = np.nonzero(finite)
+    a = np.zeros((len(ii), n0 + n1))
+    a[np.arange(len(ii)), ii] = a[np.arange(len(ii)), n0 + jj] = 1.0
+    live = np.concatenate([finite.any(axis=1), finite.any(axis=0)])
+    w = np.concatenate([problem.mu0.weights, problem.mu1.weights])
+    a, wl = a[:, live], w[live]
+    res = minimize(
+        lambda z: wl @ np.expm1(-z),
+        np.zeros(len(wl)),
+        jac=lambda z: -wl * np.exp(-z),
+        method="SLSQP",
+        constraints=[{"type": "ineq", "fun": lambda z: problem.cost[ii, jj] - a @ z, "jac": lambda z: -a}],
+        options={"ftol": 1e-16, "maxiter": 1000},
+    ) if live.any() else None
+    return float(w[~live].sum() - (res.fun if res else 0.0))
 
 
 class TestSolveLetBasics:
@@ -313,6 +340,58 @@ def ref_forest_plan(gamma, w0, w1, cost):
     return plan, cut_rounds, len(off)
 
 
+def ref_dual_newton(f, g, w0, w1, cost, eps):
+    """Reference for let._dual_newton: the same stage with a fresh plan and
+    fresh temporaries at every step.  Moves f and g in place; returns the
+    steps taken and the plan."""
+    gamma = f[:, None] + g[None, :]
+    gamma -= cost
+    gamma /= eps
+    gamma[gamma < _kernels.EXP_FLOOR] = -np.inf
+    with np.errstate(over="ignore"):
+        np.exp(gamma, out=gamma)
+    t = 1.0
+    for step in range(let.NEWTON_MAX_STEPS):
+        a, b = w0 * np.exp(-f), w1 * np.exp(-g)
+        r, s = gamma.sum(axis=1), gamma.sum(axis=0)
+        grad_f, grad_g = a - r, b - s
+        if (np.abs(grad_f) <= let.NEWTON_RTOL * a).all() and (np.abs(grad_g) <= let.NEWTON_RTOL * b).all():
+            return step, gamma
+        d0, d1 = np.maximum(a + r / eps, let.TINY), np.maximum(b + s / eps, let.TINY)
+        if len(g) <= len(f):
+            df, dg = ref_schur_step(gamma, d0, d1, grad_f, grad_g, eps)
+        else:
+            dg, df = ref_schur_step(gamma.T, d1, d0, grad_g, grad_f, eps)
+        slope = float(grad_f @ df + grad_g @ dg)
+        t = min(1.0, 2.0 * t)
+        while True:
+            change = np.add.outer(df * (t / eps), dg * (t / eps))
+            with np.errstate(over="ignore"):
+                np.expm1(np.minimum(change, 700.0, out=change), out=change)
+                change *= gamma
+                rise = a @ -np.expm1(-t * df) + b @ -np.expm1(-t * dg) - eps * change.sum()
+            if rise >= 1e-4 * t * slope:
+                break
+            t *= 0.5
+            if t < 1e-10:
+                return step, gamma
+        f += t * df
+        g += t * dg
+        gamma += change
+    return let.NEWTON_MAX_STEPS, gamma
+
+
+def ref_schur_step(gamma, d_out, d_in, grad_out, grad_in, eps):
+    scale = eps * d_out[:, None]
+    gamma = np.where(gamma < let.SCHUR_FLOOR * scale, 0.0, gamma)
+    p = gamma / scale
+    schur = gamma.T @ p
+    schur /= -eps
+    schur.ravel()[:: len(d_in) + 1] += d_in
+    step_in = np.linalg.solve(schur, grad_in - p.T @ grad_out)
+    return (grad_out - gamma @ step_in / eps) / d_out, step_in
+
+
 class TestSolverPath:
     """The annealed dual-Newton / spanning-forest path and its telemetry."""
 
@@ -473,12 +552,44 @@ class TestSolverPath:
         d_in = rng.uniform(0.1, 2.0, n1) + gamma.sum(axis=0) / eps
         grad_out, grad_in = rng.normal(size=n0), rng.normal(size=n1)
         assert (gamma < SCHUR_FLOOR * eps * d_out[:, None]).mean() > 0.5
-        step_out, step_in = _schur_step(gamma, d_out, d_in, grad_out, grad_in, eps)
+        scratch = np.empty_like(gamma), np.empty_like(gamma), np.empty(gamma.shape, dtype=bool), np.empty((n1, n1))
+        step_out, step_in = _schur_step(gamma, d_out, d_in, grad_out, grad_in, eps, scratch)
         p = gamma / (eps * d_out[:, None])
         ref_in = np.linalg.solve(np.diag(d_in) - gamma.T @ p / eps, grad_in - p.T @ grad_out)
         ref_out = (grad_out - gamma @ ref_in / eps) / d_out
         assert np.allclose(step_in, ref_in, rtol=1e-14, atol=0)
         assert np.allclose(step_out, ref_out, rtol=1e-14, atol=0)
+
+    def test_newton_stages_match_the_allocating_reference(self):
+        # every stage of the annealing loop, on both Schur orientations, an
+        # hk pair with forbidden cells and the 1-D criterion-5 grid pair:
+        # steps, potentials and plan are bit for bit the reference's
+        from hkgeo.mollify import MollifierConfig, mollify
+        from hkgeo.potentials import grid_measure_on_ball
+
+        rng = np.random.default_rng(31)
+        m0, m1 = random_measure(rng, 100, scale=1.2), random_measure(rng, 200, scale=1.2)
+        hk = let_problem(random_measure(rng, 40, scale=1.5), random_measure(rng, 60, scale=1.5), "hk")
+        assert np.isinf(hk.cost).any()
+        nu = grid_measure_on_ball(lambda q: 0.5 + 0.3 * np.exp(-np.sum(q * q, axis=1)), 1.0, 0.01, 1)
+        mu = DiscreteMeasure(rng.normal(0, 1.0, (4, 1)), rng.uniform(0.3, 1.5, 4))
+        m = mollify(mu, MollifierConfig(0.4, 0.01, dim=1))
+        grid = LetProblem(nu, m, cost_matrix_sq(nu, m))
+        for p in (let_problem(m0, m1, "ghk"), let_problem(m1, m0, "ghk"), hk, grid):
+            live = np.ix_(np.isfinite(p.cost).any(axis=1), np.isfinite(p.cost).any(axis=0))
+            cost, w0, w1 = p.cost[live], p.mu0.weights[live[0].ravel()], p.mu1.weights[live[1].ravel()]
+            f, g = np.zeros(len(w0)), np.zeros(len(w1))
+            gamma, total = np.empty(cost.shape), 0
+            for eps in let.EPS_STAGES:
+                _kernels.scaling_sweep(f, g, np.log(w0), np.log(w1), cost, eps, 1, 0.0)
+                ref_f, ref_g = f.copy(), g.copy()
+                ref_steps, ref_plan = ref_dual_newton(ref_f, ref_g, w0, w1, cost, eps)
+                steps = let._dual_newton(f, g, w0, w1, cost, eps, gamma)
+                assert steps == ref_steps
+                assert np.array_equal(f, ref_f) and np.array_equal(g, ref_g)
+                assert np.array_equal(gamma, ref_plan)
+                total += steps
+            assert total > len(let.EPS_STAGES)
 
     def test_floors_leave_solves_identical(self, monkeypatch):
         # the exponent floor and the Schur floor drop up to thousands of cells
