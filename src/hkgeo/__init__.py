@@ -8,8 +8,6 @@ radial dynamics.
 
 from .measures import (
     DiscreteMeasure,
-    MassDecomposition,
-    decompose,
     dilate,
     hellinger_sq,
     load_measure,
@@ -17,13 +15,10 @@ from .measures import (
     measure_from_json,
     measure_to_csv,
     measure_to_json,
-    pushforward,
-    recompose,
     save_measure,
-    total_mass,
     wasserstein_sq,
 )
-from .cone import ConePoint, cone_dist, g_transform, let_cost
+from .cone import cone_dist, g_transform, let_cost
 from .let import (
     ConePlan,
     LetProblem,
@@ -50,7 +45,6 @@ from .cylinders import (
     evaluate,
     gradient,
     linear_lip_bound,
-    parse_cylinder,
     perturbation_derivative,
     slope_probe,
     tangent_norm_14,

@@ -143,7 +143,7 @@ def cmd_dist(args):
     code = 0
     if args.cost:
         with open(args.cost) as fh:
-            cost = np.array([[float(v) if v.strip() != "inf" else np.inf for v in row] for row in csv.reader(fh) if row])
+            cost = np.array([[float(v) for v in row] for row in csv.reader(fh) if row])
         sol = solve_let(LetProblem(mu0, mu1, cost), args.tol)
         report["metric"] = "let"
         code = _fill_let_report(report, sol, args.plan)
@@ -560,6 +560,8 @@ SUITES = {
 def cmd_validate(args):
     if args.suite not in SUITES:
         raise ValueError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     t0 = time.time()
     checks = SUITES[args.suite](args)
     ok = all(c["pass"] for c in checks)

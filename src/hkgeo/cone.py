@@ -2,41 +2,20 @@
 
 import numpy as np
 
-__all__ = ["ConePoint", "cone_dist", "g_transform", "let_cost", "HALF_PI"]
+__all__ = ["cone_dist", "g_transform", "let_cost", "HALF_PI"]
 
 HALF_PI = 0.5 * np.pi
 
 
-class ConePoint:
-    """Point [x, r] of the cone; all points with radius 0 are the vertex."""
-
-    __slots__ = ("base", "radius")
-
-    def __init__(self, base, radius):
-        if radius < 0:
-            raise ValueError("cone radius must be >= 0")
-        object.__setattr__(self, "base", np.asarray(base, dtype=float))
-        object.__setattr__(self, "radius", float(radius))
-
-    def __setattr__(self, *a):
-        raise AttributeError("ConePoint is immutable")
-
-    def __eq__(self, other):
-        if self.radius == 0.0 and other.radius == 0.0:
-            return True
-        return self.radius == other.radius and np.array_equal(self.base, other.base)
-
-    def __repr__(self):
-        return f"ConePoint(base={self.base}, radius={self.radius})"
-
-
-def cone_dist(a, p0, p1, base_dist):
-    """Cone distance sqrt(r^2 + s^2 - 2 r s cos(d ^ a)) for a in (0, pi]."""
+def cone_dist(a, r, s, base_dist):
+    """Distance sqrt(r^2 + s^2 - 2 r s cos(d ^ a)), a in (0, pi], between cone
+    points of radii r, s over base points at distance d; radius 0 is the vertex."""
     if not (0.0 < a <= np.pi):
         raise ValueError("cone parameter must lie in (0, pi]")
     if base_dist < 0:
         raise ValueError("base distance must be >= 0")
-    r, s = p0.radius, p1.radius
+    if r < 0 or s < 0:
+        raise ValueError("cone radius must be >= 0")
     val = r * r + s * s - 2.0 * r * s * np.cos(min(base_dist, a))
     return float(np.sqrt(max(val, 0.0)))
 

@@ -40,7 +40,6 @@ __all__ = [
     "coordinate_kernel",
     "one_kernel",
     "mass_kernel_extended",
-    "parse_cylinder",
 ]
 
 
@@ -53,15 +52,14 @@ class ScalarField:
     sup are declared constants for the Lipschitz estimate.
     """
 
-    __slots__ = ("fn", "grad", "ds", "lip", "sup", "name")
+    __slots__ = ("fn", "grad", "ds", "lip", "sup")
 
-    def __init__(self, fn, grad, ds=None, lip=None, sup=None, name=""):
+    def __init__(self, fn, grad, ds=None, lip=None, sup=None):
         self.fn = fn
         self.grad = grad
         self.ds = ds
         self.lip = lip
         self.sup = sup
-        self.name = name
 
     def values(self, weights, points):
         if self.ds is None:
@@ -132,9 +130,9 @@ def poly_outer(coeffs):
 class CylinderFunction:
     """chi(mu M) * F(kernel integrals); houses plain and extended kernels."""
 
-    __slots__ = ("outer", "kernels", "cutoff", "cutoff_prime", "name")
+    __slots__ = ("outer", "kernels", "cutoff", "cutoff_prime")
 
-    def __init__(self, outer, kernels, cutoff=None, cutoff_prime=None, name=""):
+    def __init__(self, outer, kernels, cutoff=None, cutoff_prime=None):
         if outer.arity != len(kernels):
             raise ValueError("outer arity must match the number of kernels")
         if (cutoff is None) != (cutoff_prime is None):
@@ -143,7 +141,6 @@ class CylinderFunction:
         self.kernels = list(kernels)
         self.cutoff = cutoff
         self.cutoff_prime = cutoff_prime
-        self.name = name
 
     def kernel_integrals(self, mu):
         return _kernel_terms(self, _as_batch(mu))[1][0]
@@ -357,7 +354,6 @@ def truncation(k):
         [one_kernel()],
         cutoff=chi,
         cutoff_prime=chi_prime,
-        name=f"truncation({k})",
     )
 
 
@@ -391,11 +387,7 @@ def multiply(u, v):
         partials.append(lambda a, i=i: u.outer.partials[i](a[:ku]) * v.outer.value(a[ku:]))
     for j in range(kv):
         partials.append(lambda a, j=j: u.outer.value(a[:ku]) * v.outer.partials[j](a[ku:]))
-    return CylinderFunction(
-        OuterFunction(val, partials, ku + kv),
-        u.kernels + v.kernels,
-        name=f"({u.name})*({v.name})",
-    )
+    return CylinderFunction(OuterFunction(val, partials, ku + kv), u.kernels + v.kernels)
 
 
 def compose(phi, phi_prime, u):
@@ -410,13 +402,11 @@ def compose(phi, phi_prime, u):
         (lambda a, i=i: phi_prime(u.outer.value(a)) * u.outer.partials[i](a))
         for i in range(len(u.kernels))
     ]
-    return CylinderFunction(
-        OuterFunction(val, partials, len(u.kernels)), u.kernels, name=f"phi({u.name})"
-    )
+    return CylinderFunction(OuterFunction(val, partials, len(u.kernels)), u.kernels)
 
 
 # ---------------------------------------------------------------------------
-# kernel primitives (the named config-language primitives)
+# kernel primitives
 # ---------------------------------------------------------------------------
 
 def one_kernel():
@@ -425,7 +415,6 @@ def one_kernel():
         lambda p: np.zeros_like(np.atleast_2d(p)),
         lip=0.0,
         sup=1.0,
-        name="one",
     )
 
 
@@ -444,7 +433,7 @@ def gauss_kernel(center, width, amplitude=1.0):
         return fn(p)[:, None] * (-(p - center) / width**2)
 
     lip = abs(amplitude) * np.exp(-0.5) / width
-    return ScalarField(fn, grad, lip=lip, sup=abs(amplitude), name="gauss")
+    return ScalarField(fn, grad, lip=lip, sup=abs(amplitude))
 
 
 def bump_kernel(center, radius, amplitude=1.0):
@@ -466,7 +455,7 @@ def bump_kernel(center, radius, amplitude=1.0):
         return fac[:, None] * (p - center)
 
     lip = abs(amplitude) * (96.0 / (25.0 * np.sqrt(5.0))) / radius
-    return ScalarField(fn, grad, lip=lip, sup=abs(amplitude), name="bump")
+    return ScalarField(fn, grad, lip=lip, sup=abs(amplitude))
 
 
 def coordinate_kernel(axis=0):
@@ -479,7 +468,7 @@ def coordinate_kernel(axis=0):
         out[:, axis] = 1.0
         return out
 
-    return ScalarField(fn, grad, lip=1.0, sup=np.inf, name=f"coord{axis}")
+    return ScalarField(fn, grad, lip=1.0, sup=np.inf)
 
 
 def mass_kernel_extended(h=None, h_grad=None):
@@ -493,59 +482,9 @@ def mass_kernel_extended(h=None, h_grad=None):
         lambda s, p: np.asarray(s) * h(p),
         lambda s, p: np.asarray(s)[:, None] * h_grad(p),
         ds=lambda s, p: h(p),
-        name="atom-mass",
     )
 
 
 def linear_cylinder(kernel):
     """u = f*: the potential energy of a single kernel."""
-    return CylinderFunction(_identity_outer(), [kernel], name=f"{kernel.name}*")
-
-
-# ---------------------------------------------------------------------------
-# tiny expression-language for CLI configs, e.g.
-#   "poly:1,0.5 | gauss(0,1); bump(0.5,2)"      (outer | kernel; kernel; ...)
-# ---------------------------------------------------------------------------
-
-def _parse_kernel(token):
-    token = token.strip()
-    if token == "one":
-        return one_kernel()
-    if token == "mass":
-        return mass_kernel_extended()
-    name, _, args = token.partition("(")
-    vals = [float(v) for v in args.rstrip(")").split(",")] if args else []
-    if name == "gauss":
-        return gauss_kernel(vals[0:-1] or [0.0], vals[-1] if vals else 1.0)
-    if name == "bump":
-        return bump_kernel(vals[0:-1] or [0.0], vals[-1] if vals else 1.0)
-    if name == "coord":
-        return coordinate_kernel(int(vals[0]) if vals else 0)
-    raise ValueError(f"unknown kernel primitive {token!r}")
-
-
-def parse_cylinder(spec):
-    """Build a cylinder function from 'outer | kernel; kernel; ...'.
-
-    Outer forms: 'sum', 'poly:c0,c1,...' (univariate, needs one kernel),
-    'tanh_sum'.  Kernels: one, mass, gauss(c...,w), bump(c...,r), coord(i).
-    """
-    outer_spec, _, kernel_spec = spec.partition("|")
-    kernels = [_parse_kernel(t) for t in kernel_spec.split(";") if t.strip()]
-    outer_spec = outer_spec.strip()
-    if outer_spec.startswith("poly:"):
-        coeffs = [float(v) for v in outer_spec[5:].split(",")]
-        if len(kernels) != 1:
-            raise ValueError("polynomial outer takes exactly one kernel")
-        outer = poly_outer(coeffs)
-    elif outer_spec == "sum":
-        outer = sum_outer(len(kernels))
-    elif outer_spec == "tanh_sum":
-        outer = OuterFunction(
-            lambda a: float(np.tanh(np.sum(a))),
-            [(lambda a: float(1.0 - np.tanh(np.sum(a)) ** 2)) for _ in kernels],
-            len(kernels),
-        )
-    else:
-        raise ValueError(f"unknown outer form {outer_spec!r}")
-    return CylinderFunction(outer, kernels, name=spec)
+    return CylinderFunction(_identity_outer(), [kernel])

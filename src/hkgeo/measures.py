@@ -10,15 +10,10 @@ from scipy.optimize import linprog
 
 __all__ = [
     "DiscreteMeasure",
-    "MassDecomposition",
-    "total_mass",
     "hellinger_sq",
     "wasserstein_sq",
     "cost_matrix_sq",
     "dilate",
-    "pushforward",
-    "decompose",
-    "recompose",
     "measure_to_json",
     "measure_from_json",
     "measure_to_csv",
@@ -131,24 +126,6 @@ def _merge_atoms(points, weights):
     return points[new], merged_w
 
 
-class MassDecomposition:
-    """Total mass and unit-mass shape of a measure; (zero flag, 0) for 0."""
-
-    __slots__ = ("shape", "mass", "is_zero")
-
-    def __init__(self, shape, mass, is_zero):
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "mass", float(mass))
-        object.__setattr__(self, "is_zero", bool(is_zero))
-
-    def __setattr__(self, *a):
-        raise AttributeError("MassDecomposition is immutable")
-
-
-def total_mass(mu):
-    return mu.mass
-
-
 def hellinger_sq(mu0, mu1):
     """Squared Hellinger distance: sum over the union of supports of
     (sqrt w0 - sqrt w1)^2."""
@@ -215,35 +192,6 @@ def dilate(mu, lam):
     if lam <= 0:
         raise ValueError("dilation factor must be positive")
     return DiscreteMeasure(lam * mu.points, mu.weights, dim=mu.dim)
-
-
-def pushforward(mu, mapping, dim=None):
-    """Image measure under a coordinate transform; colliding atoms merge.
-
-    mapping acts on an (n, d) array of points and returns an (n, d') array
-    (or is applied row-wise if it returns 1-D output for a single row).
-    """
-    if mu.is_zero():
-        return DiscreteMeasure(np.empty((0, dim or mu.dim)), [], dim=dim or mu.dim)
-    out = np.asarray(mapping(mu.points), dtype=float)
-    out = np.atleast_2d(out)
-    if out.shape[0] != len(mu):
-        out = np.stack([np.atleast_1d(mapping(p)) for p in mu.points])
-    return DiscreteMeasure(out, mu.weights, dim=out.shape[1])
-
-
-def decompose(mu):
-    """J(mu) = (N(mu), mu M); the zero measure maps to (zero flag, 0)."""
-    if mu.is_zero():
-        return MassDecomposition(mu, 0.0, True)
-    m = mu.mass
-    return MassDecomposition(DiscreteMeasure(mu.points, mu.weights / m, dim=mu.dim), m, False)
-
-
-def recompose(dec):
-    if dec.is_zero:
-        return DiscreteMeasure(np.empty((0, dec.shape.dim)), [], dim=dec.shape.dim)
-    return DiscreteMeasure(dec.shape.points, dec.shape.weights * dec.mass, dim=dec.shape.dim)
 
 
 # ---------------------------------------------------------------------------

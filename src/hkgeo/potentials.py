@@ -46,6 +46,10 @@ def _lattice_nodes(points, origin, shape, spacing):
 
 def grid_measure_on_ball(density, radius, spacing, dim):
     """Grid measure with weights density(x) * spacing^d on nodes |x| <= radius."""
+    if radius <= 0:
+        raise ValueError(f"ball radius must be positive, got {radius}")
+    if spacing <= 0:
+        raise ValueError(f"grid spacing must be positive, got {spacing}")
     half = int(np.floor(radius / spacing + 1e-12))
     pts = _lattice_points(np.full(dim, -half), (2 * half + 1,) * dim, spacing)
     pts = pts[np.linalg.norm(pts, axis=1) <= radius + 1e-12]

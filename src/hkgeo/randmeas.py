@@ -62,16 +62,17 @@ def uniform_ball_sampler(dim):
 class IntensityParams:
     """Homogeneity parameter theta and the diffuse base probability nu."""
 
-    __slots__ = ("theta", "base_sampler", "base_density", "dim")
+    __slots__ = ("theta", "base_sampler", "dim")
 
-    def __init__(self, theta, dim=1, base_sampler=None, base_density=None):
+    def __init__(self, theta, dim=1, base_sampler=None):
         if theta <= 0:
             raise ValueError("theta must be positive")
+        if dim < 1:
+            raise ValueError(f"dimension must be >= 1, got {dim}")
         if base_sampler is None:
-            base_sampler, base_density = uniform_ball_sampler(dim)
+            base_sampler, _ = uniform_ball_sampler(dim)
         self.theta = float(theta)
         self.base_sampler = base_sampler
-        self.base_density = base_density
         self.dim = int(dim)
 
 

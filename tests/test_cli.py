@@ -1,9 +1,12 @@
 import json
 import csv
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from hkgeo.cli import main
+from hkgeo.cli import build_parser, main
 from hkgeo.measures import DiscreteMeasure, measure_to_json
 
 
@@ -85,6 +88,15 @@ class TestDist:
         expected = 3.0 - 2 * np.sqrt(2.0) * np.exp(-0.125)
         assert rep["values"]["primal"] == pytest.approx(expected, rel=1e-7)
         assert len(rep["sigma0"]) == 1 and len(rep["phi1"]) == 1
+        # a " inf" cell forbids the second atom every move: it is killed and
+        # adds its full mass 0.5 to the value
+        pa2 = tmp_path / "a2.json"
+        pa2.write_text(json.dumps(measure_to_json(DiscreteMeasure([[0.0, 0.0], [5.0, 0.0]], [1.0, 0.5]))))
+        cost.write_text("0.25\n inf\n")
+        assert main(["dist", str(pa2), pb, "--cost", str(cost), "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["values"]["primal"] == pytest.approx(expected + 0.5, rel=1e-7)
+        assert len(rep["sigma0"]) == 2
 
 
 class TestSimulateSample:
@@ -140,6 +152,12 @@ class TestSimulateSample:
             assert capsys.readouterr().err.startswith("error: --window applies to mlp only")
             assert not out.exists()
 
+    def test_sample_dimension_below_one_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "df.jsonl"
+        assert main(["sample", "df", "--n", "3", "--seed", "1", "--dim", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: dimension must be >= 1, got 0")
+        assert not out.exists()
+
     def test_seed_required(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["sample", "df", "--n", "5", "--out", str(tmp_path / "x.jsonl")])
@@ -194,6 +212,12 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "bytes" in err and "memory" in err
 
+    @pytest.mark.parametrize("suite,n", [("duality", "0"), ("gradient", "-3")])
+    def test_fewer_than_one_sample_exits_one(self, suite, n, capsys):
+        # a suite with no checks would report "passed": true
+        assert main(["validate", suite, "--seed", "1", "--n", n]) == 1
+        assert capsys.readouterr().err.startswith(f"error: --n must be >= 1, got {n}")
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
             main(["validate", "nonsense", "--seed", "1"])
@@ -221,6 +245,19 @@ class TestMollifyPotentials:
         assert rep["psi_lipschitz"] <= rep["R"] + 1e-9
         assert (tmp_path / "pot.phi.csv").exists()
         assert (tmp_path / "pot.psi.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [("--spacing", "0", "grid spacing must be positive, got 0.0"),
+         ("--radius", "-1", "ball radius must be positive, got -1.0")],
+        ids=["spacing", "radius"],
+    )
+    def test_potentials_nonpositive_grid_exits_one(self, tmp_path, capsys, flag, value, message):
+        pm = tmp_path / "m.json"
+        pm.write_text(json.dumps(measure_to_json(DiscreteMeasure([[0.3]], [0.8]))))
+        assert main(["potentials", str(pm), flag, value, "--out", str(tmp_path / "pot")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("pot*"))
 
     def test_mollify_too_big_for_memory_exits_one(self, tmp_path, monkeypatch, capsys):
         import hkgeo.measures as ms
@@ -352,3 +389,15 @@ class TestNumericalFailuresExitOne:
         monkeypatch.setattr(bes, "hyp0f1", functools.partial(bes.hyp0f1, max_terms=1))
         assert main(["validate", "bessel", "--n", "20", "--seed", "1"]) == 1
         assert capsys.readouterr().err.startswith("error: 0F1 series did not converge")
+
+
+def test_readme_criteria_commands_parse():
+    """Every hkgeo command in README's acceptance-criteria table is a valid
+    command line for the current parser."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| criterion | command |", 1)[1].split("\n\n", 1)[0]
+    commands = [cell for cell in table.split("`") if cell.startswith("hkgeo ")]
+    assert len(commands) == 9
+    for command in commands:
+        args = build_parser().parse_args(shlex.split(command)[1:])
+        assert args.command == "validate"

@@ -18,7 +18,6 @@ from hkgeo.cylinders import (
     mass_kernel_extended,
     multiply,
     one_kernel,
-    parse_cylinder,
     perturbation_derivative,
     poly_outer,
     slope_probe,
@@ -297,22 +296,7 @@ class TestLinearLipBound:
         assert lhs <= rhs + 1e-9
 
 
-class TestParseCylinder:
-    def test_poly_gauss(self):
-        u = parse_cylinder("poly:0,1,0.5 | gauss(0,1)")
-        rng = np.random.default_rng(15)
-        mu = DiscreteMeasure(rng.normal(0, 1, (3, 1)), rng.uniform(0.2, 1, 3))
-        a = u.kernel_integrals(mu)[0]
-        assert evaluate(u, mu) == pytest.approx(a + 0.5 * a * a)
-
-    def test_sum_of_kernels(self):
-        u = parse_cylinder("sum | gauss(0,1); bump(0,2); one")
-        assert len(u.kernels) == 3
-
-    def test_unknown_primitive(self):
-        with pytest.raises(ValueError):
-            parse_cylinder("sum | wavelet(1)")
-
+class TestScalarField:
     def test_field_consistency_check(self):
         rng = np.random.default_rng(16)
         for kern in (gauss_kernel([0.2, -0.1], 1.1), bump_kernel([0.0, 0.0], 2.0)):

@@ -818,12 +818,12 @@ class TestIsometricImmersion:
     def test_hk_single_atoms_match_cone_distance(self):
         # hk_sq(a delta_x, b delta_y) equals the squared cone distance of
         # ([x, sqrt(a)], [y, sqrt(b)]) with the base distance capped at pi/2
-        from hkgeo.cone import ConePoint, cone_dist
+        from hkgeo.cone import cone_dist
 
         rng = np.random.default_rng(99)
         for _ in range(100):
             a, b = rng.uniform(0.1, 5.0, 2)
             d = rng.uniform(0.0, 3.0)
             v = hk_sq(dirac(0.0, a), dirac(d, b), TOL)
-            cd = cone_dist(np.pi, ConePoint([0.0], np.sqrt(a)), ConePoint([d], np.sqrt(b)), min(d, np.pi / 2))
+            cd = cone_dist(np.pi, np.sqrt(a), np.sqrt(b), min(d, np.pi / 2))
             assert v == pytest.approx(cd**2, rel=1e-6, abs=1e-10)

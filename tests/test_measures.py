@@ -5,16 +5,12 @@ from itertools import combinations
 from hkgeo.measures import (
     DiscreteMeasure,
     cost_matrix_sq,
-    decompose,
     dilate,
     hellinger_sq,
     measure_from_csv,
     measure_from_json,
     measure_to_csv,
     measure_to_json,
-    pushforward,
-    recompose,
-    total_mass,
     wasserstein_sq,
 )
 
@@ -51,7 +47,7 @@ class TestDiscreteMeasure:
     def test_atom_merging_sums_weights(self):
         mu = DiscreteMeasure([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]], [1.0, 0.5, 2.0])
         assert len(mu) == 2
-        assert total_mass(mu) == pytest.approx(3.5)
+        assert mu.mass == pytest.approx(3.5)
         idx = np.argwhere((mu.points == [1.0, 2.0]).all(axis=1))[0, 0]
         assert mu.weights[idx] == pytest.approx(3.0)
 
@@ -59,7 +55,7 @@ class TestDiscreteMeasure:
         mu = DiscreteMeasure([[0.0], [1.0]], [0.0, 2.0])
         assert len(mu) == 1
         empty = DiscreteMeasure(np.empty((0, 3)), [], dim=3)
-        assert empty.is_zero() and total_mass(empty) == 0.0
+        assert empty.is_zero() and empty.mass == 0.0
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -180,35 +176,6 @@ class TestDilatePushforward:
         mu = DiscreteMeasure([[1.0]], [1.0])
         with pytest.raises(ValueError):
             dilate(mu, 0.0)
-
-    def test_pushforward_identity_and_constant(self):
-        rng = np.random.default_rng(5)
-        mu = random_measure(rng, 6)
-        same = pushforward(mu, lambda p: p)
-        assert same.allclose(mu)
-        const = pushforward(mu, lambda p: np.zeros_like(p))
-        assert len(const) == 1
-        assert const.mass == pytest.approx(mu.mass)
-
-
-class TestDecompose:
-    def test_single_atom(self):
-        dec = decompose(DiscreteMeasure([[2.0]], [3.0]))
-        assert dec.mass == pytest.approx(3.0)
-        assert not dec.is_zero
-        assert dec.shape.mass == pytest.approx(1.0)
-
-    def test_zero_measure_flag(self):
-        dec = decompose(DiscreteMeasure(np.empty((0, 2)), [], dim=2))
-        assert dec.is_zero and dec.mass == 0.0
-
-    def test_roundtrip_bit_exact(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            mu = random_measure(rng, rng.integers(1, 8))
-            back = recompose(decompose(mu))
-            assert np.array_equal(back.points, mu.points)
-            assert np.allclose(back.weights, mu.weights, rtol=1e-15)
 
 
 class TestIO:

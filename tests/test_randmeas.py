@@ -327,8 +327,15 @@ class TestMeasureBatch:
     @pytest.mark.parametrize(
         "u",
         [
-            cyl.parse_cylinder("poly:0.2,1,-0.7 | gauss(0.1,-0.2,0.8)"),
-            cyl.parse_cylinder("tanh_sum | mass; coord(1); bump(0,0,1.5)"),
+            cyl.CylinderFunction(cyl.poly_outer([0.2, 1, -0.7]), [cyl.gauss_kernel([0.1, -0.2], 0.8)]),
+            cyl.CylinderFunction(
+                cyl.OuterFunction(
+                    lambda a: float(np.tanh(np.sum(a))),
+                    [lambda a: float(1.0 - np.tanh(np.sum(a)) ** 2)] * 3,
+                    3,
+                ),
+                [cyl.mass_kernel_extended(), cyl.coordinate_kernel(1), cyl.bump_kernel([0, 0], 1.5)],
+            ),
             cyl.CylinderFunction(
                 cyl.OuterFunction(lambda a: 0.3 + a[0] * a[1], [lambda a: a[1], lambda a: a[0]], 2),
                 [cyl.gauss_kernel([0.2, 0.0], 0.9), cyl.mass_kernel_extended()],
