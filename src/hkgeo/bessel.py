@@ -12,8 +12,6 @@ import math
 from math import gamma as gamma_fn
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import rgamma
 
 from . import _kernels
 from .cylinders import CylinderFunction, OuterFunction, gradient, one_kernel
@@ -108,6 +106,8 @@ def empirical_hitting(theta, a, x, b, dt, n_paths, rng, t_max=200.0):
 def quadrature_E(theta, chi_prime, cap, rtol=1e-10):
     """E^theta(chi, chi) = int_0^cap t chi'(t)^2 t^{theta-1}/Gamma(theta) dt
     by adaptive quadrature to relative 1e-8 or better."""
+    from scipy.integrate import quad
+
     if cap <= 0:
         raise ValueError("domain cap must be positive")
     c = 1.0 / gamma_fn(theta)
@@ -165,6 +165,8 @@ def smooth_bump_radial(lo, hi):
 def generator_symmetry(theta, f, g, rtol=1e-10):
     """Residual |E^theta(f, g) + int f (t g'' + theta g') dlambda_theta|;
     both integrals by adaptive quadrature over the joint support."""
+    from scipy.integrate import quad
+
     lo = min(f.support[0], g.support[0])
     hi = max(f.support[1], g.support[1])
     if not (0 < lo < hi < np.inf):
@@ -202,6 +204,8 @@ def hyp0f1(a, z, tol=1e-14, max_terms=500):
 def hyp0f1_regularized(a, z, tol=1e-16, max_terms=500):
     """0Ftilde1(; a; z) = sum_k rgamma(a + k) z^k / k!; entire in a (the
     reciprocal-Gamma factors vanish at the poles)."""
+    from scipy.special import rgamma
+
     total = 0.0
     zk = 1.0
     for k in range(max_terms):

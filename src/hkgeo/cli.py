@@ -261,6 +261,8 @@ def cmd_simulate_besq(args):
 
 
 def cmd_sample(args):
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     params = IntensityParams(args.theta, dim=args.dim)
     window = _parse_window(args.window) if args.window else None
     if window is not None and args.law != "mlp":
@@ -312,7 +314,10 @@ def _parse_window(text):
 def cmd_limits(args):
     mu0 = load_measure(args.measure0)
     mu1 = load_measure(args.measure1)
-    lambdas = [float(v) for v in args.lambdas.split(",")]
+    try:
+        lambdas = [float(v) for v in args.lambdas.split(",")]
+    except ValueError:
+        raise ValueError(f"--lambdas must be comma-separated numbers, got {args.lambdas!r}") from None
     tab = limit_diagnostics(mu0, mu1, lambdas, args.tol)
     tab["config"] = _config_dict(args)
     _emit(tab, args.out)
@@ -556,12 +561,16 @@ SUITES = {
     "limits": _suite_limits,
 }
 
+# suites that report a sample standard error, which needs two samples
+MONTE_CARLO_SUITES = ("mecke-df", "mecke-mlp", "invariance", "bessel", "radial-iso")
+
 
 def cmd_validate(args):
     if args.suite not in SUITES:
         raise ValueError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
-    if args.n < 1:
-        raise ValueError(f"--n must be >= 1, got {args.n}")
+    least = 2 if args.suite in MONTE_CARLO_SUITES else 1
+    if args.n < least:
+        raise ValueError(f"--n must be >= {least}, got {args.n}")
     t0 = time.time()
     checks = SUITES[args.suite](args)
     ok = all(c["pass"] for c in checks)

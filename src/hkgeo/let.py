@@ -13,7 +13,6 @@ decides when the loop stops.
 """
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import _kernels
 from .cone import let_cost
@@ -100,6 +99,8 @@ def _certificate(gamma, w0, w1, cost):
     row the plan leaves empty enters that transform at phi0 = 0 and then
     takes the half-cost transform of phi1; only a row without a finite cell
     keeps phi0 = +inf (its atom is killed in every plan)."""
+    from scipy.special import xlogy
+
     sigma0 = gamma.sum(axis=1) / w0
     sigma1 = gamma.sum(axis=0) / w1
     on = gamma > 0

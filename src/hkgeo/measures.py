@@ -6,7 +6,6 @@ import json
 import os
 
 import numpy as np
-from scipy.optimize import linprog
 
 __all__ = [
     "DiscreteMeasure",
@@ -156,6 +155,8 @@ def wasserstein_sq(mu0, mu1, support_cap=WASSERSTEIN_SUPPORT_CAP):
 
     Dense LP on the transport polytope (supports are small by contract).
     """
+    from scipy.optimize import linprog
+
     if mu0.dim != mu1.dim:
         raise ValueError("dimension mismatch")
     if len(mu0) > support_cap or len(mu1) > support_cap:

@@ -9,7 +9,6 @@ bookkeeping: output mass = mu M + eps).
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import _kernels
 from .measures import DiscreteMeasure, _ensure_fits
@@ -36,6 +35,8 @@ def _bump_profile(r):
 @lru_cache(maxsize=8)
 def kernel_normalization(dim):
     """c_d with integral of c_d * exp(-1/(1-|x|^2)) over the unit ball = 1."""
+    from scipy.integrate import quad
+
     surface = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[dim]
     val, _ = quad(lambda r: float(_bump_profile(np.array([r]))[0]) * r ** (dim - 1), 0.0, 1.0)
     return 1.0 / (surface * val)

@@ -19,7 +19,6 @@ import time
 from math import gamma as gamma_fn
 
 import numpy as np
-from scipy.special import pdtrc
 
 from .measures import DiscreteMeasure, _ensure_fits
 
@@ -183,6 +182,8 @@ def _batch_floats(dim, beta, n, trunc_tol):
     since -log(1 - v) ~ Exp(beta) for v ~ Beta(1, beta); the column count
     is the least k >= the initial level that all n rows stay within except
     with probability 1e-9, plus the residual column."""
+    from scipy.special import pdtrc
+
     k = _truncation_level(beta, trunc_tol)
     mean = -beta * math.log(trunc_tol)
     while n * pdtrc(k - 1, mean) > 1e-9:

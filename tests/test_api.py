@@ -1,10 +1,16 @@
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import hkgeo
+from hkgeo.measures import DiscreteMeasure, measure_to_json
 
 # the command-line entry point is run, not imported from
 LIBRARY_MODULES = sorted(
@@ -26,3 +32,33 @@ def test_all_lists_exactly_what_the_module_offers(name):
         and v.__module__ == mod.__name__
     ]
     assert [n for n in defined if n not in listed] == [], "public names missing from __all__"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _loaded_scipy_modules(code):
+    """Run code in a fresh interpreter that can import hkgeo and return the
+    scipy modules loaded when it ends."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    report = "import json, sys; print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    out = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    # each scipy module is imported inside the function that calls it
+    assert _loaded_scipy_modules("import hkgeo, hkgeo.cli") == []
+
+
+def test_ghk_distance_loads_scipy_special_only(tmp_path):
+    paths = []
+    for name, points, weights in (("a", [[0.0, 0.0], [1.0, 0.5]], [1.0, 0.5]), ("b", [[0.5, 0.0]], [2.0])):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(measure_to_json(DiscreteMeasure(points, weights))))
+    loaded = _loaded_scipy_modules(
+        f"import hkgeo.cli\nassert hkgeo.cli.main(['dist', '--metric', 'ghk', {str(paths[0])!r}, {str(paths[1])!r}]) == 0"
+    )
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.integrate"))], loaded

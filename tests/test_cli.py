@@ -158,6 +158,13 @@ class TestSimulateSample:
         assert capsys.readouterr().err.startswith("error: dimension must be >= 1, got 0")
         assert not out.exists()
 
+    @pytest.mark.parametrize("law,n", [("df", "-2"), ("gamma", "0")])
+    def test_sample_fewer_than_one_exits_one(self, law, n, tmp_path, capsys):
+        out = tmp_path / "s.jsonl"
+        assert main(["sample", law, "--n", n, "--seed", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: --n must be >= 1, got {n}")
+        assert not out.exists()
+
     def test_seed_required(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["sample", "df", "--n", "5", "--out", str(tmp_path / "x.jsonl")])
@@ -218,9 +225,27 @@ class TestValidate:
         assert main(["validate", suite, "--seed", "1", "--n", n]) == 1
         assert capsys.readouterr().err.startswith(f"error: --n must be >= 1, got {n}")
 
+    @pytest.mark.parametrize("suite", ["bessel", "radial-iso", "mecke-df", "mecke-mlp", "invariance"])
+    def test_monte_carlo_suite_needs_two_samples(self, suite, capsys):
+        # one sample has no standard error, so every estimate would fail on "se": "nan"
+        assert main(["validate", suite, "--seed", "1", "--n", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: --n must be >= 2, got 1")
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
             main(["validate", "nonsense", "--seed", "1"])
+
+
+class TestLimits:
+    def test_malformed_lambdas_names_the_flag(self, measure_files, capsys):
+        pa, pb = measure_files
+        for text in (",", "1,x"):
+            assert main(["limits", pa, pb, "--lambdas", text]) == 1
+            assert capsys.readouterr().err.startswith(
+                f"error: --lambdas must be comma-separated numbers, got {text!r}")
+        # a grid that does not increase keeps its own message
+        assert main(["limits", pa, pb, "--lambdas", "2,1"]) == 1
+        assert capsys.readouterr().err.startswith("error: lambda grid must be strictly increasing")
 
 
 class TestMollifyPotentials:
@@ -351,10 +376,8 @@ class TestNumericalFailuresExitOne:
     def test_w2_transport_lp_failure(self, tmp_path, monkeypatch, capsys):
         import types
 
-        import hkgeo.measures as meas
-
         monkeypatch.setattr(
-            meas, "linprog", lambda *a, **k: types.SimpleNamespace(success=False, message="stub infeasible")
+            "scipy.optimize.linprog", lambda *a, **k: types.SimpleNamespace(success=False, message="stub infeasible")
         )
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"
         pa.write_text(json.dumps(measure_to_json(DiscreteMeasure([[0.0, 0.0]], [1.0]))))
@@ -375,9 +398,7 @@ class TestNumericalFailuresExitOne:
         assert capsys.readouterr().err.startswith("error: psi grid does not cover")
 
     def test_radial_iso_quadrature_failure(self, monkeypatch, capsys):
-        import hkgeo.bessel as bes
-
-        monkeypatch.setattr(bes, "quad", lambda *a, **k: (1.0, 1.0))
+        monkeypatch.setattr("scipy.integrate.quad", lambda *a, **k: (1.0, 1.0))
         assert main(["validate", "radial-iso", "--n", "20", "--seed", "1"]) == 1
         assert capsys.readouterr().err.startswith("error: quadrature did not reach relative 1e-8")
 
