@@ -77,19 +77,21 @@ def hitting_prob(theta, a, x, b):
 
 
 HITTING_SEGMENT_STEPS = 500  # Euler steps per block of normals drawn for the live paths
+QUAD_RTOL = 1e-10  # relative tolerance asked of scipy's quad for the Dirichlet-form integrals
+HYP0F1_MAX_TERMS = 500  # terms the 0F1 series may take before they give up
 
 
-def empirical_hitting(theta, a, x, b, dt, n_paths, rng, t_max=200.0):
+def empirical_hitting(theta, a, x, b, dt, n_paths, rng):
     """Fraction of Euler paths hitting a before b: segments of
     HITTING_SEGMENT_STEPS steps, each drawing normals only for the paths
     still alive, so resolved paths stop consuming budget; unresolved paths
-    after t_max count toward neither side and are reported."""
+    after time 200 count toward neither side and are reported."""
     if not 0 < a < x < b:
         raise ValueError("need 0 < a < x < b")
     states = np.full(n_paths, float(x))
     hits_a = 0
     hits_b = 0
-    steps_left = int(round(t_max / dt))
+    steps_left = int(round(200.0 / dt))
     while len(states) and steps_left > 0:
         n_seg = min(HITTING_SEGMENT_STEPS, steps_left)
         normals = rng.standard_normal((len(states), n_seg))
@@ -103,7 +105,7 @@ def empirical_hitting(theta, a, x, b, dt, n_paths, rng, t_max=200.0):
     return {"hit_a": hits_a, "hit_b": hits_b, "unresolved": len(states), "n": n_paths}
 
 
-def quadrature_E(theta, chi_prime, cap, rtol=1e-10):
+def quadrature_E(theta, chi_prime, cap):
     """E^theta(chi, chi) = int_0^cap t chi'(t)^2 t^{theta-1}/Gamma(theta) dt
     by adaptive quadrature to relative 1e-8 or better."""
     from scipy.integrate import quad
@@ -115,7 +117,7 @@ def quadrature_E(theta, chi_prime, cap, rtol=1e-10):
     def integrand(t):
         return c * t**theta * chi_prime(t) ** 2
 
-    val, err = quad(integrand, 0.0, cap, epsabs=0.0, epsrel=rtol, limit=400)
+    val, err = quad(integrand, 0.0, cap, epsabs=0.0, epsrel=QUAD_RTOL, limit=400)
     if val != 0.0 and err > 1e-8 * abs(val):
         raise RuntimeError(f"quadrature did not reach relative 1e-8 (err {err:.2e})")
     return float(val)
@@ -162,7 +164,7 @@ def smooth_bump_radial(lo, hi):
     return RadialTestFunction(f, d1, d2, support=(lo, hi))
 
 
-def generator_symmetry(theta, f, g, rtol=1e-10):
+def generator_symmetry(theta, f, g):
     """Residual |E^theta(f, g) + int f (t g'' + theta g') dlambda_theta|;
     both integrals by adaptive quadrature over the joint support."""
     from scipy.integrate import quad
@@ -173,48 +175,59 @@ def generator_symmetry(theta, f, g, rtol=1e-10):
         raise ValueError("supports must be compact inside (0, inf)")
     c = 1.0 / gamma_fn(theta)
     bilinear, _ = quad(
-        lambda t: c * t**theta * f.d1(t) * g.d1(t), lo, hi, epsabs=0.0, epsrel=rtol, limit=400
+        lambda t: c * t**theta * f.d1(t) * g.d1(t), lo, hi, epsabs=0.0, epsrel=QUAD_RTOL, limit=400
     )
     against_generator, _ = quad(
         lambda t: c * t ** (theta - 1.0) * f.f(t) * (t * g.d2(t) + theta * g.d1(t)),
         lo,
         hi,
         epsabs=0.0,
-        epsrel=rtol,
+        epsrel=QUAD_RTOL,
         limit=400,
     )
     scale = max(abs(bilinear), abs(against_generator), 1.0)
     return abs(bilinear + against_generator), scale
 
 
-def hyp0f1(a, z, tol=1e-14, max_terms=500):
-    """0F1(; a; z) = sum_k z^k / (<a>_k k!) with term-ratio stopping."""
+def _series_sum(total, biggest):
+    """A 0F1 series sum, unless it is not finite or its rounding error, about
+    one ulp of the largest term, exceeds 1e-8 of it (the alternating terms
+    of a large negative z cancel)."""
+    if not math.isfinite(total) or np.finfo(float).eps * biggest > 1e-8 * abs(total):
+        raise RuntimeError(f"0F1 series lost its accuracy: sum {total:.3g}, largest term {biggest:.3g}")
+    return total
+
+
+def hyp0f1(a, z):
+    """0F1(; a; z) = sum_k z^k / (<a>_k k!) with term-ratio stopping; raises
+    RuntimeError when the terms run out or the sum misses its accuracy."""
     if float(a) == int(a) and a <= 0:
         raise ValueError("parameter pole: a must avoid nonpositive integers")
-    term = 1.0
-    total = 1.0
-    for k in range(1, max_terms):
+    term = total = biggest = 1.0
+    for k in range(1, HYP0F1_MAX_TERMS):
         term *= z / ((a + k - 1.0) * k)
         total += term
-        if abs(term) <= tol * max(abs(total), 1.0):
-            return float(total)
+        biggest = max(biggest, abs(term))
+        if abs(term) <= 1e-14 * max(abs(total), 1.0):
+            return _series_sum(float(total), biggest)
     raise RuntimeError("0F1 series did not converge")
 
 
-def hyp0f1_regularized(a, z, tol=1e-16, max_terms=500):
+def hyp0f1_regularized(a, z):
     """0Ftilde1(; a; z) = sum_k rgamma(a + k) z^k / k!; entire in a (the
-    reciprocal-Gamma factors vanish at the poles)."""
+    reciprocal-Gamma factors vanish at the poles).  Raises like hyp0f1."""
     from scipy.special import rgamma
 
-    total = 0.0
+    total = biggest = 0.0
     zk = 1.0
-    for k in range(max_terms):
-        term = rgamma(a + k) * zk
+    for k in range(HYP0F1_MAX_TERMS):
+        term = float(rgamma(a + k)) * zk
         total += term
+        biggest = max(biggest, abs(term))
         zk *= z / (k + 1.0)
-        if k > 4 and abs(term) <= tol * max(abs(total), 1e-300) and abs(zk * rgamma(a + k + 1)) <= tol:
-            break
-    return float(total)
+        if k > 4 and abs(term) <= 1e-16 * max(abs(total), 1e-300) and abs(zk * float(rgamma(a + k + 1))) <= 1e-16:
+            return _series_sum(total, biggest)
+    raise RuntimeError("0F1 series did not converge")
 
 
 def bessel_ode_residual(theta, t, solution="first"):
@@ -244,19 +257,17 @@ def _form_values(u, params, window, n, rng_seed):
     return vals, float(np.abs(hor).max(initial=0.0))
 
 
-def radial_form_mc(theta, params, chi, window, n, rng_seed, cap=None):
+def radial_form_mc(theta, params, chi, window, n, rng_seed):
     """Monte-Carlo vs quadrature for the radial Dirichlet form.
 
     mc: one quarter of the measure-space form of u = chi(mass) estimated over
     the mass-windowed multiplicative Lebesgue law (the horizontal gradient of
-    a radial function vanishes identically); quad: quadrature_E.  chi' must
+    a radial function vanishes identically); quad: quadrature_E on (0, b).  chi' must
     be supported inside the window.
     """
     a, b = window
     if chi.support[0] < a or chi.support[1] > b:
         raise ValueError("chi' support must sit inside the mass window")
-    if cap is None:
-        cap = b
     u = CylinderFunction(
         OuterFunction(lambda v: 1.0, [lambda v: 0.0], 1),
         [one_kernel()],
@@ -268,7 +279,7 @@ def radial_form_mc(theta, params, chi, window, n, rng_seed, cap=None):
     return {
         "mc": float(0.25 * z * vals.mean()),
         "se": float(0.25 * z * vals.std(ddof=1) / np.sqrt(n)),
-        "quad": quadrature_E(theta, chi.d1, cap),
+        "quad": quadrature_E(theta, chi.d1, b),
         "max_horizontal": max_hor,
         "n": n,
     }

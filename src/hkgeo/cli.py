@@ -271,12 +271,10 @@ def cmd_sample(args):
         batch = df_batch(params, args.beta, args.n, args.seed)
     elif args.law == "gamma":
         batch = gamma_batch(params, args.n, args.seed).measures
-    elif args.law == "mlp":
+    else:  # mlp
         if window is None:
             raise ValueError("sample mlp requires --window a,b")
         batch = mlp_window_batch(params, window, args.n, args.seed)
-    else:
-        raise ValueError(f"unknown law {args.law!r}")
     # each law is sampled directly, so every record has importance weight 1
     records = [dict(measure_to_json(mu), iw=1.0) for mu in batch]
     header = {
@@ -318,6 +316,8 @@ def cmd_limits(args):
         lambdas = [float(v) for v in args.lambdas.split(",")]
     except ValueError:
         raise ValueError(f"--lambdas must be comma-separated numbers, got {args.lambdas!r}") from None
+    if not all(0.0 < v < np.inf for v in lambdas):
+        raise ValueError(f"--lambdas must be finite and positive, got {args.lambdas!r}")
     tab = limit_diagnostics(mu0, mu1, lambdas, args.tol)
     tab["config"] = _config_dict(args)
     _emit(tab, args.out)
@@ -456,7 +456,7 @@ def _suite_slope(args):
         u = _random_cylinder(rng)
         for metric in ("hk", "he", "w"):
             ana = cyl.analytic_slope(u, mu, metric)
-            probe = cyl.slope_probe(u, mu, metric, n_samples=4, rng=rng)
+            probe = cyl.slope_probe(u, mu, metric, rng)
             ok = probe <= ana * 1.05 + 1e-9 and probe >= ana * 0.90 - 1e-9
             checks.append(
                 {
@@ -566,8 +566,6 @@ MONTE_CARLO_SUITES = ("mecke-df", "mecke-mlp", "invariance", "bessel", "radial-i
 
 
 def cmd_validate(args):
-    if args.suite not in SUITES:
-        raise ValueError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
     least = 2 if args.suite in MONTE_CARLO_SUITES else 1
     if args.n < least:
         raise ValueError(f"--n must be >= {least}, got {args.n}")

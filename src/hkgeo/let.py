@@ -558,6 +558,8 @@ def limit_diagnostics(mu0, mu1, lam_grid, tol=1e-9):
     """Scaling-limit ladder: HK_{lam d}^2 increases to He^2 and
     lam^2 HK_{d/lam}^2 increases to W^2 (equal masses) as lam grows."""
     lam_grid = np.asarray(lam_grid, dtype=float)
+    if not np.all((lam_grid > 0) & (lam_grid < np.inf)):
+        raise ValueError("lambda grid must be finite and positive")
     if np.any(np.diff(lam_grid) <= 0):
         raise ValueError("lambda grid must be strictly increasing")
     he = hellinger_sq(mu0, mu1)

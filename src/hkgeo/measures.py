@@ -150,7 +150,7 @@ def cost_matrix_sq(mu0, mu1):
     return out
 
 
-def wasserstein_sq(mu0, mu1, support_cap=WASSERSTEIN_SUPPORT_CAP):
+def wasserstein_sq(mu0, mu1):
     """Exact extended Wasserstein-2 cost; +inf when total masses differ.
 
     Dense LP on the transport polytope (supports are small by contract).
@@ -159,8 +159,8 @@ def wasserstein_sq(mu0, mu1, support_cap=WASSERSTEIN_SUPPORT_CAP):
 
     if mu0.dim != mu1.dim:
         raise ValueError("dimension mismatch")
-    if len(mu0) > support_cap or len(mu1) > support_cap:
-        raise ValueError(f"support size exceeds cap {support_cap}")
+    if len(mu0) > WASSERSTEIN_SUPPORT_CAP or len(mu1) > WASSERSTEIN_SUPPORT_CAP:
+        raise ValueError(f"support size exceeds cap {WASSERSTEIN_SUPPORT_CAP}")
     m0, m1 = mu0.mass, mu1.mass
     if abs(m0 - m1) > EQUAL_MASS_RTOL * max(m0, m1, 1.0):
         return np.inf

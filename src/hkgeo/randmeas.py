@@ -38,6 +38,12 @@ __all__ = [
     "mlp_window_batch",
 ]
 
+TRUNC_TOL = 1e-10  # stick-breaking truncation: every sampled row leaves less mass than this
+MECKE_S_CAP = 20.0  # S: mecke_check_mlp integrates its rhs over s in [0, S]
+MECKE_QUAD_ORDER = 96  # by Gauss-Legendre quadrature with this many nodes
+MULTIPLIER_SUPPORT = 2.0  # invariance_checks' multiplier test function vanishes at masses >= this
+MULTIPLIER_SLOPE = 0.4  # and its log-multipliers are this times x_1 or |x|^2
+
 
 def uniform_ball_sampler(dim):
     """Uniform distribution on the unit ball: diffuse, with known density."""
@@ -210,23 +216,23 @@ def _stick_matrix(beta, n, trunc_tol, rng):
     return q
 
 
-def _shapes(params, beta, n, trunc_tol, rng, draw_masses=None):
+def _shapes(params, beta, n, rng, draw_masses=None):
     """n measures mass_i * (stick-breaking DF(beta) shape) and their masses.
 
     Draw order: the masses (draw_masses(n), default all 1), the stick
     matrix, then all n * K atoms in one base_sampler call.  The memory check
     comes first, before anything is allocated."""
-    _ensure_fits(_batch_floats(params.dim, beta, n, trunc_tol), f"a batch of {n} random measures")
+    _ensure_fits(_batch_floats(params.dim, beta, n, TRUNC_TOL), f"a batch of {n} random measures")
     masses = np.ones(n) if draw_masses is None else draw_masses(n)
-    q = _stick_matrix(beta, n, trunc_tol, rng)
+    q = _stick_matrix(beta, n, TRUNC_TOL, rng)
     x = params.base_sampler(rng, q.size).reshape(q.shape + (params.dim,))
     return MeasureBatch(x, masses[:, None] * q), masses
 
 
-def df_batch(params, beta, n, rng=None, trunc_tol=1e-10):
+def df_batch(params, beta, n, rng):
     """n Dirichlet-Ferguson samples via stick-breaking, as a MeasureBatch of
     purely atomic random probability measures with atoms drawn iid from nu."""
-    return _shapes(params, beta, n, trunc_tol, np.random.default_rng(rng))[0]
+    return _shapes(params, beta, n, np.random.default_rng(rng))[0]
 
 
 def _window_masses(theta, window, rng, n):
@@ -245,21 +251,21 @@ def lambda_window_mass(theta, window):
     return (b**theta - a**theta) / gamma_fn(theta + 1.0)
 
 
-def _gamma_shapes(params, beta, n, trunc_tol, rng):
-    return _shapes(params, beta, n, trunc_tol, rng, lambda k: rng.gamma(params.theta, 1.0, k))
+def _gamma_shapes(params, beta, n, rng):
+    return _shapes(params, beta, n, rng, lambda k: rng.gamma(params.theta, 1.0, k))
 
 
-def gamma_batch(params, n, seed, trunc_tol=1e-10):
+def gamma_batch(params, n, seed):
     """Gamma random measures (total mass ~ Gamma(theta, 1), independent of
     the DF(theta) simplicial part) with importance weights e^{mass}: a
     SampleBatch representing the sigma-finite multiplicative Lebesgue law;
     seed is a seed or a numpy Generator."""
     rng = np.random.default_rng(seed)
-    measures, masses = _gamma_shapes(params, params.theta, n, trunc_tol, rng)
+    measures, masses = _gamma_shapes(params, params.theta, n, rng)
     return SampleBatch(measures, np.exp(np.minimum(masses, 700.0)))
 
 
-def mlp_window_batch(params, window, n, seed, trunc_tol=1e-10):
+def mlp_window_batch(params, window, n, seed):
     """MeasureBatch from the mass-windowed multiplicative Lebesgue law: each
     row an independent pair (windowed lambda_theta mass, DF(theta) shape),
     drawn directly, so every row has importance weight 1 (the window
@@ -267,7 +273,7 @@ def mlp_window_batch(params, window, n, seed, trunc_tol=1e-10):
     Generator."""
     rng = np.random.default_rng(seed)
     draw = lambda k: _window_masses(params.theta, window, rng, k)
-    return _shapes(params, params.theta, n, trunc_tol, rng, draw)[0]
+    return _shapes(params, params.theta, n, rng, draw)[0]
 
 
 def _mean_se(values):
@@ -281,7 +287,7 @@ def _compare(name, lhs, rhs, t0):
     return CheckReport(name, ml, mr, sl, sr, len(lhs), time.perf_counter() - t0)
 
 
-def mecke_check_df(F, beta, params, n=10_000, rng=None, trunc_tol=1e-10, name="mecke-df"):
+def mecke_check_df(F, beta, params, n, rng, name="mecke-df"):
     """Both sides of the Dirichlet-Ferguson Mecke identity for a bounded F.
 
     lhs: mean over DF samples eta of  sum_j q_j F(eta, x_j, q_j)
@@ -296,9 +302,9 @@ def mecke_check_df(F, beta, params, n=10_000, rng=None, trunc_tol=1e-10, name="m
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(rng)
-    eta = df_batch(params, beta, n, rng, trunc_tol)
+    eta = df_batch(params, beta, n, rng)
     lhs = eta.row_sums(eta.atom_weights * F(eta, eta.atom_points, eta.atom_weights))
-    eta = df_batch(params, beta, n, rng, trunc_tol)
+    eta = df_batch(params, beta, n, rng)
     x = params.base_sampler(rng, n)
     t = rng.beta(1.0, beta, n)
     perturbed = MeasureBatch(
@@ -308,17 +314,7 @@ def mecke_check_df(F, beta, params, n=10_000, rng=None, trunc_tol=1e-10, name="m
     return _compare(name, lhs, F(perturbed, x, t), t0)
 
 
-def mecke_check_mlp(
-    h,
-    params,
-    n=10_000,
-    s_cap=20.0,
-    rng=None,
-    trunc_tol=1e-10,
-    quad_order=96,
-    beta_sticks=None,
-    name="mecke-mlp",
-):
+def mecke_check_mlp(h, params, n, rng, beta_sticks=None, name="mecke-mlp"):
     """Both sides of the Mecke identity for the multiplicative Lebesgue law
     with the damped test function F(mu, s, x) = e^{-2 mu M} h(s, x).
 
@@ -338,35 +334,34 @@ def mecke_check_mlp(
     theta = params.theta
     if beta_sticks is None:
         beta_sticks = theta
-    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
-    s_nodes = 0.5 * s_cap * (nodes + 1.0)
-    s_weights = 0.5 * s_cap * weights
+    nodes, weights = np.polynomial.legendre.leggauss(MECKE_QUAD_ORDER)
+    s_nodes = 0.5 * MECKE_S_CAP * (nodes + 1.0)
+    s_weights = 0.5 * MECKE_S_CAP * weights
 
-    mu, masses = _gamma_shapes(params, beta_sticks, n, trunc_tol, rng)
+    mu, masses = _gamma_shapes(params, beta_sticks, n, rng)
     w = mu.atom_weights
     lhs = np.exp(-masses) * mu.row_sums(w * h(w, mu.atom_points))
-    _ensure_fits(n * quad_order * (params.dim + 1), f"{n} quadrature rules of {quad_order} nodes")
+    _ensure_fits(n * MECKE_QUAD_ORDER * (params.dim + 1), f"{n} quadrature rules of {MECKE_QUAD_ORDER} nodes")
     masses = rng.gamma(theta, 1.0, n)
     x = params.base_sampler(rng, n)
-    vals = np.reshape(h(np.tile(s_nodes, n), np.repeat(x, quad_order, axis=0)), (n, quad_order))
+    vals = np.reshape(h(np.tile(s_nodes, n), np.repeat(x, MECKE_QUAD_ORDER, axis=0)), (n, MECKE_QUAD_ORDER))
     rhs = theta * np.exp(-masses) * (vals @ (s_weights * np.exp(-2.0 * s_nodes)))
     return _compare(name, lhs, rhs, t0)
 
 
-def invariance_checks(params, n=10_000, r_support=2.0, multiplier_slope=0.4, tau=None, seed=0):
+def invariance_checks(params, n, seed):
     """Projective-invariance and semigroup checks for the multiplicative law.
 
     (a) exact homogeneity of lambda_theta on mass windows (analytic);
     (b) multiplier action k = e^a: Gamma-reweighted expectation of u(k mu)
         against e^{-theta int log k dnu} E[u(mu)], for a bounded u supported
-        in {mass <= r_support}, with a(x) = slope * x_1 (traceless) and
-        a(x) = slope * |x|^2 (analytic trace on the uniform ball);
-    (c) convolution: E[e^{-(m + m')}] over Gamma(theta) x Gamma(tau) equals
-        the Gamma(theta + tau) damped moment 2^{-(theta+tau)}.
+        in {mass <= MULTIPLIER_SUPPORT}, with a(x) = c x_1 (traceless) and
+        a(x) = c |x|^2 (analytic trace on the uniform ball), c = MULTIPLIER_SLOPE;
+    (c) convolution: E[e^{-(m + m')}] over Gamma(theta) x Gamma(tau), tau =
+        theta / 2, equals the Gamma(theta + tau) damped moment 2^{-(theta+tau)}.
     """
     theta = params.theta
-    if tau is None:
-        tau = 0.5 * theta
+    tau = 0.5 * theta
     rng = np.random.default_rng(seed)
     reports = {}
 
@@ -378,21 +373,21 @@ def invariance_checks(params, n=10_000, r_support=2.0, multiplier_slope=0.4, tau
 
     # (b) multiplier tests: u depends on the measure through its mass only
     def u(m):
-        inside = m < r_support
-        z = np.where(inside, m / r_support, 0.0)
+        inside = m < MULTIPLIER_SUPPORT
+        z = np.where(inside, m / MULTIPLIER_SUPPORT, 0.0)
         return np.where(inside, np.exp(-1.0 / (1.0 - z * z)) * np.exp(-m), 0.0)
 
     dim = params.dim
     cases = {
-        "multiplier-traceless": (lambda p: multiplier_slope * p[:, 0], 0.0),
+        "multiplier-traceless": (lambda p: MULTIPLIER_SLOPE * p[:, 0], 0.0),
         "multiplier-radial": (
-            lambda p: multiplier_slope * np.sum(p * p, axis=1),
-            multiplier_slope * dim / (dim + 2.0),  # int |x|^2 dnu on the unit ball
+            lambda p: MULTIPLIER_SLOPE * np.sum(p * p, axis=1),
+            MULTIPLIER_SLOPE * dim / (dim + 2.0),  # int |x|^2 dnu on the unit ball
         ),
     }
     for label, (a_fn, trace) in cases.items():
         t0 = time.perf_counter()
-        mu, masses = _gamma_shapes(params, theta, n, 1e-10, rng)
+        mu, masses = _gamma_shapes(params, theta, n, rng)
         k_masses = mu.row_sums(np.exp(a_fn(mu.atom_points)) * mu.atom_weights)
         # weights e^{mass} are bounded on the support of the integrands
         damp = np.exp(np.minimum(masses, 700.0))

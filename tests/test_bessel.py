@@ -202,6 +202,30 @@ class TestHypergeometric:
         with pytest.raises(ValueError):
             hyp0f1(0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "fn,a,z",
+        [
+            # summed without the accuracy check these give 4.26e-3 (true
+            # 1.29e-3), -1.03e7 (true -6.8e-4) and 5.5e7 (true -5.1e-4); at
+            # 1e4 z^k / k! overflows, and at 1e6 hyp0f1's terms sum to inf
+            (hyp0f1, 2.5, -400.0),
+            (hyp0f1, 2.5, -1000.0),
+            (hyp0f1_regularized, 2.5, -1000.0),
+            (hyp0f1_regularized, 0.5, 1e4),
+            (hyp0f1, 2.5, 1e6),
+            # at the bound: one ulp of the largest term is 2.5e-8 of the sum,
+            # so it raises, though the sum is off by only 1.3e-9
+            (hyp0f1, 2.5, -100.0),
+        ],
+    )
+    def test_inaccurate_series_raises(self, fn, a, z):
+        with pytest.raises(RuntimeError, match="0F1 series"):
+            fn(a, z)
+
+    @pytest.mark.parametrize("z,rel", [(-10.0, 5e-15), (-30.0, 1.4e-11), (-50.0, 2e-10)])
+    def test_moderate_negative_z_matches_mpmath(self, z, rel):
+        assert hyp0f1(2.5, z) == pytest.approx(float(mpmath.hyp0f1(2.5, z)), rel=rel, abs=0)
+
     @pytest.mark.parametrize("theta", [0.5, 1.5, 3.0])
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_eigenfunction_residuals(self, theta, t):

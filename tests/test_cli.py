@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from hkgeo.cli import build_parser, main
-from hkgeo.measures import DiscreteMeasure, measure_to_json
+from hkgeo.let import limit_diagnostics
+from hkgeo.measures import DiscreteMeasure, load_measure, measure_to_json
 
 
 @pytest.fixture
@@ -58,6 +59,16 @@ class TestDist:
         code = main(["dist", str(bad), str(good)])
         assert code == 1
         assert "weights" in capsys.readouterr().err
+
+    def test_plan_report(self, measure_files, tmp_path):
+        pa, pb = measure_files
+        out = tmp_path / "r.json"
+        assert main(["dist", "--metric", "hk", pa, pb, "--plan", "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert set(rep) == {"metric", "value", "values", "gap", "sigma0", "sigma1", "phi0", "phi1", "plan",
+                            "iterations", "epsilon_final", "stats", "converged", "config", "runtime_ms"}
+        assert np.array(rep["plan"]).shape == (1, 1) and rep["plan"][0][0] > 0
+        assert rep["config"]["plan"] is True
 
     def test_nonconverged_solver_exits_two(self, measure_files, tmp_path, monkeypatch):
         import hkgeo.cli as cli_mod
@@ -130,6 +141,18 @@ class TestSimulateSample:
         for line in lines[1:]:
             rec = json.loads(line)
             assert sum(rec["weights"]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_sample_gamma(self, tmp_path):
+        out = tmp_path / "gamma.jsonl"
+        assert main(["sample", "gamma", "--n", "5", "--seed", "1", "--out", str(out)]) == 0
+        lines = out.read_text().strip().split("\n")
+        header = json.loads(lines[0])
+        assert header["provenance"] == {"law": "gamma", "seed": 1, "window": None, "theta": 2.0, "beta": 1.0}
+        assert header["config"]["n"] == 5
+        records = [json.loads(line) for line in lines[1:]]
+        assert len(records) == 5
+        for rec in records:
+            assert set(rec) == {"dim", "points", "weights", "iw"} and rec["iw"] == 1.0
 
     def test_sample_mlp_window(self, tmp_path):
         out = tmp_path / "mlp.jsonl"
@@ -246,6 +269,26 @@ class TestLimits:
         # a grid that does not increase keeps its own message
         assert main(["limits", pa, pb, "--lambdas", "2,1"]) == 1
         assert capsys.readouterr().err.startswith("error: lambda grid must be strictly increasing")
+
+    @pytest.mark.parametrize("text", ["1,inf", "nan", "0,1", "-1,2"])
+    def test_nonfinite_or_nonpositive_lambdas_name_the_flag(self, measure_files, capsys, text):
+        # measure a has an atom at the origin, where dilating by inf computes 0 * inf
+        pa, pb = measure_files
+        assert main(["limits", pa, pb, f"--lambdas={text}"]) == 1
+        assert capsys.readouterr().err == f"error: --lambdas must be finite and positive, got {text!r}\n"
+        grid = [float(v) for v in text.split(",")]
+        with pytest.raises(ValueError, match="lambda grid must be finite and positive"):
+            limit_diagnostics(load_measure(pa), load_measure(pb), grid, 1e-9)
+
+    def test_limits_report(self, measure_files, tmp_path):
+        pa, pb = measure_files
+        out = tmp_path / "limits.json"
+        assert main(["limits", pa, pb, "--lambdas", "1,2,4", "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert set(rep) == {"lambda", "hk_lambda_sq", "w_ladder_sq", "hellinger_sq", "wasserstein_sq",
+                            "hk_monotone", "w_monotone", "config"}
+        assert rep["lambda"] == [1.0, 2.0, 4.0] and len(rep["hk_lambda_sq"]) == 3
+        assert rep["wasserstein_sq"] == "inf"  # the masses 1 and 2 differ
 
 
 class TestMollifyPotentials:
@@ -403,11 +446,9 @@ class TestNumericalFailuresExitOne:
         assert capsys.readouterr().err.startswith("error: quadrature did not reach relative 1e-8")
 
     def test_bessel_0f1_series_failure(self, monkeypatch, capsys):
-        import functools
-
         import hkgeo.bessel as bes
 
-        monkeypatch.setattr(bes, "hyp0f1", functools.partial(bes.hyp0f1, max_terms=1))
+        monkeypatch.setattr(bes, "HYP0F1_MAX_TERMS", 1)
         assert main(["validate", "bessel", "--n", "20", "--seed", "1"]) == 1
         assert capsys.readouterr().err.startswith("error: 0F1 series did not converge")
 

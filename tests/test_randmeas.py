@@ -189,10 +189,8 @@ class TestMeckeMLP:
         # h(s, x) = s 1_{s <= S}: the right side has the closed form
         # theta 2^{-theta} int_0^S s e^{-2s} ds; the identity pins the lhs too
         theta = params.theta
-        s_cap = 20.0
-        rep = mecke_check_mlp(
-            lambda s, x: s, params, n=30000, s_cap=s_cap, rng=np.random.default_rng(16)
-        )
+        s_cap = randmeas.MECKE_S_CAP
+        rep = mecke_check_mlp(lambda s, x: s, params, n=30000, rng=np.random.default_rng(16))
         inner = 0.25 - (s_cap / 2 + 0.25) * np.exp(-2 * s_cap)
         closed = theta * 2.0 ** (-theta) * inner
         assert abs(rep.rhs - closed) <= 3 * rep.se_rhs + 1e-10
@@ -283,8 +281,8 @@ class TestAtomDistinctness:
     def test_df_atoms_never_collide(self, params):
         # diffuse nu: the sampler's atoms stay distinct, so no stick weights
         # are merged away at construction
-        q = randmeas._stick_matrix(2.0, 1, 1e-10, np.random.default_rng(5))[0]
-        eta = df_batch(params, 2.0, 1, np.random.default_rng(5), 1e-10)[0]
+        q = randmeas._stick_matrix(2.0, 1, randmeas.TRUNC_TOL, np.random.default_rng(5))[0]
+        eta = df_batch(params, 2.0, 1, np.random.default_rng(5))[0]
         assert len(eta) == len(q)
         assert np.all(eta.weights > 0)
 
