@@ -31,7 +31,7 @@ from .let import (
     solve_let,
     verify_optimality,
 )
-from .mollify import MollifierConfig, mollify, weak_error
+from .mollify import MollifierConfig, mollify
 from .potentials import (
     PotentialPair,
     gradient_duality_value,

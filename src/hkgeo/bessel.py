@@ -1,11 +1,10 @@
 """Squared-Bessel dynamics and the radial Dirichlet form.
 
 The process dx = sqrt(2 x^+) dW + theta dt is simulated by full-truncation
-Euler (an exact-transition sampler through the Poisson-Gamma mixture serves
-as a moment oracle).  The one-dimensional form E^theta(f, g) =
-int t f' g' dlambda_theta, its generator t f'' + theta f', the
-hypergeometric eigenfunctions, and Monte-Carlo estimates of the
-measure-space Dirichlet form close the radial-isomorphism loop.
+Euler.  The one-dimensional form E^theta(f, g) = int t f' g' dlambda_theta,
+its generator t f'' + theta f', the hypergeometric eigenfunctions, and
+Monte-Carlo estimates of the measure-space Dirichlet form close the
+radial-isomorphism loop.
 """
 
 import math
@@ -19,7 +18,6 @@ from .randmeas import lambda_window_mass, mlp_window_batch
 
 __all__ = [
     "simulate_besq_batch",
-    "besq_exact_terminal",
     "hitting_prob",
     "empirical_hitting",
     "quadrature_E",
@@ -49,16 +47,6 @@ def simulate_besq_batch(theta, x0, T, dt, rng, n_paths):
     normals = rng.standard_normal((n_paths, n_steps))
     paths, clipped = _kernels.euler_besq_paths(float(x0), float(theta), float(dt), normals)
     return paths, np.arange(n_steps + 1) * dt, clipped
-
-
-def besq_exact_terminal(theta, x0, t, rng, n):
-    """Exact draws of x_t via the time-changed standard squared Bessel of
-    dimension 2 theta: x_t = y_{t/2}, y_s ~ s * chi'^2(2 theta, x0/s), sampled
-    as a Poisson(x0/(2s)) mixture of Gamma(theta + N, 2) variables."""
-    s = t / 2.0
-    lam = x0 / s
-    pois = rng.poisson(lam / 2.0, size=n)
-    return s * rng.gamma(theta + pois, 2.0)
 
 
 def hitting_prob(theta, a, x, b):
@@ -189,12 +177,14 @@ def generator_symmetry(theta, f, g):
     return abs(bilinear + against_generator), scale
 
 
-def _series_sum(total, biggest):
-    """A 0F1 series sum, unless it is not finite or its rounding error, about
-    one ulp of the largest term, exceeds 1e-8 of it (the alternating terms
-    of a large negative z cancel)."""
-    if not math.isfinite(total) or np.finfo(float).eps * biggest > 1e-8 * abs(total):
-        raise RuntimeError(f"0F1 series lost its accuracy: sum {total:.3g}, largest term {biggest:.3g}")
+def _series_sum(total, magnitudes):
+    """A 0F1 series sum, unless it is not finite or its rounding bound
+    exceeds 1e-8 of it (the alternating terms of a large negative z cancel).
+    The bound is eps times magnitudes, the running sum of |partial sum| +
+    |term|: at least one ulp of each partial sum and of each term."""
+    bound = np.finfo(float).eps * magnitudes
+    if not math.isfinite(total) or bound > 1e-8 * abs(total):
+        raise RuntimeError(f"0F1 series lost its accuracy: sum {total:.3g}, rounding bound {bound:.3g}")
     return total
 
 
@@ -203,13 +193,14 @@ def hyp0f1(a, z):
     RuntimeError when the terms run out or the sum misses its accuracy."""
     if float(a) == int(a) and a <= 0:
         raise ValueError("parameter pole: a must avoid nonpositive integers")
-    term = total = biggest = 1.0
+    term = total = 1.0
+    magnitudes = 0.0
     for k in range(1, HYP0F1_MAX_TERMS):
         term *= z / ((a + k - 1.0) * k)
         total += term
-        biggest = max(biggest, abs(term))
+        magnitudes += abs(total) + abs(term)
         if abs(term) <= 1e-14 * max(abs(total), 1.0):
-            return _series_sum(float(total), biggest)
+            return _series_sum(float(total), magnitudes)
     raise RuntimeError("0F1 series did not converge")
 
 
@@ -218,15 +209,15 @@ def hyp0f1_regularized(a, z):
     reciprocal-Gamma factors vanish at the poles).  Raises like hyp0f1."""
     from scipy.special import rgamma
 
-    total = biggest = 0.0
+    total = magnitudes = 0.0
     zk = 1.0
     for k in range(HYP0F1_MAX_TERMS):
         term = float(rgamma(a + k)) * zk
         total += term
-        biggest = max(biggest, abs(term))
+        magnitudes += abs(total) + abs(term)
         zk *= z / (k + 1.0)
         if k > 4 and abs(term) <= 1e-16 * max(abs(total), 1e-300) and abs(zk * float(rgamma(a + k + 1))) <= 1e-16:
-            return _series_sum(total, biggest)
+            return _series_sum(total, magnitudes)
     raise RuntimeError("0F1 series did not converge")
 
 

@@ -79,21 +79,6 @@ class ScalarField:
             return np.zeros(len(weights))
         return np.asarray(self.ds(weights, points), dtype=float)
 
-    def check_consistency(self, points):
-        """Central-difference check (step 1e-6, relative 1e-4) of the
-        declared gradient at probe points of unit mass."""
-        points = np.atleast_2d(points)
-        weights = np.ones(len(points))
-        g = self.gradients(weights, points)
-        for k in range(points.shape[1]):
-            step = np.zeros(points.shape[1])
-            step[k] = 1e-6
-            fd = (self.values(weights, points + step) - self.values(weights, points - step)) / 2e-6
-            scale = np.maximum(np.abs(g[:, k]), 1.0)
-            if np.max(np.abs(fd - g[:, k]) / scale) > 1e-4:
-                return False
-        return True
-
 
 class OuterFunction:
     """F: R^k -> R with partial derivatives, applied to kernel integrals."""

@@ -12,6 +12,8 @@ the *unregularized* problem and their gap), and only the certificate
 decides when the loop stops.
 """
 
+import math
+
 import numpy as np
 
 from . import _kernels
@@ -99,12 +101,10 @@ def _certificate(gamma, w0, w1, cost):
     row the plan leaves empty enters that transform at phi0 = 0 and then
     takes the half-cost transform of phi1; only a row without a finite cell
     keeps phi0 = +inf (its atom is killed in every plan)."""
-    from scipy.special import xlogy
-
     sigma0 = gamma.sum(axis=1) / w0
     sigma1 = gamma.sum(axis=0) / w1
     on = gamma > 0
-    primal = float(w0 @ (xlogy(sigma0, sigma0) - sigma0 + 1.0) + w1 @ (xlogy(sigma1, sigma1) - sigma1 + 1.0)
+    primal = float(w0 @ (_xlogx(sigma0) - sigma0 + 1.0) + w1 @ (_xlogx(sigma1) - sigma1 + 1.0)
                    + gamma[on] @ cost[on])
     with np.errstate(divide="ignore"):
         phi0 = -0.5 * np.log(sigma0)
@@ -117,6 +117,13 @@ def _certificate(gamma, w0, w1, cost):
         phi0[empty] = _half_cost_transform(cost[empty].T, phi1)
     dual = float(w0 @ (1.0 - np.exp(-2.0 * phi0)) + w1 @ (1.0 - np.exp(-2.0 * phi1)))
     return sigma0, sigma1, primal, phi0, phi1, dual
+
+
+def _xlogx(s):
+    """s log s elementwise, 0 at s = 0, for s >= 0.  math.log is the libm log
+    that scipy.special.xlogy calls, so the values match it bit for bit;
+    np.log's own loop differs by one ulp on a few inputs."""
+    return np.array([v * math.log(v) if v else 0.0 for v in s.tolist()])
 
 
 def _half_cost_transform(cost, phi):

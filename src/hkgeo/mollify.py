@@ -6,8 +6,6 @@ bump kernel, renormalized so the sampled kernel sums to one (exact mass
 bookkeeping: output mass = mu M + eps).
 """
 
-from functools import lru_cache
-
 import numpy as np
 
 from . import _kernels
@@ -16,11 +14,8 @@ from .measures import DiscreteMeasure, _ensure_fits
 __all__ = [
     "MollifierConfig",
     "mollify",
-    "weak_error",
-    "kappa",
     "retraction",
     "retraction_profile",
-    "kernel_normalization",
 ]
 
 
@@ -30,26 +25,6 @@ def _bump_profile(r):
     inside = np.abs(r) < 1.0
     out[inside] = np.exp(-1.0 / (1.0 - r[inside] ** 2))
     return out
-
-
-@lru_cache(maxsize=8)
-def kernel_normalization(dim):
-    """c_d with integral of c_d * exp(-1/(1-|x|^2)) over the unit ball = 1."""
-    from scipy.integrate import quad
-
-    surface = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[dim]
-    val, _ = quad(lambda r: float(_bump_profile(np.array([r]))[0]) * r ** (dim - 1), 0.0, 1.0)
-    return 1.0 / (surface * val)
-
-
-def kappa(x, dim=None):
-    """Normalized bump kernel, support exactly the closed unit ball."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if dim is None:
-        dim = x.shape[1]
-    with np.errstate(over="ignore"):  # an overflowed |x| = inf is still outside the ball
-        r = np.linalg.norm(x, axis=1)
-    return kernel_normalization(dim) * _bump_profile(r)
 
 
 def retraction_profile(r):
@@ -143,14 +118,3 @@ def mollify(mu, cfg):
     nz = np.flatnonzero(grid)
     coords = (np.stack(np.unravel_index(nz, (n,) * cfg.dim), axis=1) - cfg.half_nodes) * sp
     return DiscreteMeasure(coords, grid[nz], dim=cfg.dim)
-
-
-def weak_error(mu, cfg, tests):
-    """|int phi dT_eps(mu) - int phi dmu| for each test function."""
-    out = mollify(mu, cfg)
-    errs = []
-    for phi in tests:
-        a = float(np.sum(phi(out.points) * out.weights)) if len(out) else 0.0
-        b = float(np.sum(phi(mu.points) * mu.weights)) if len(mu) else 0.0
-        errs.append(abs(a - b))
-    return errs

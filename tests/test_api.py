@@ -52,13 +52,14 @@ def test_import_loads_no_scipy():
     assert _loaded_scipy_modules("import hkgeo, hkgeo.cli") == []
 
 
-def test_ghk_distance_loads_scipy_special_only(tmp_path):
+def test_let_solves_load_no_scipy(tmp_path):
+    # the LET certificate takes s log s through math.log, so a solve needs numpy alone
     paths = []
-    for name, points, weights in (("a", [[0.0, 0.0], [1.0, 0.5]], [1.0, 0.5]), ("b", [[0.5, 0.0]], [2.0])):
-        paths.append(tmp_path / f"{name}.json")
-        paths[-1].write_text(json.dumps(measure_to_json(DiscreteMeasure(points, weights))))
-    loaded = _loaded_scipy_modules(
-        f"import hkgeo.cli\nassert hkgeo.cli.main(['dist', '--metric', 'ghk', {str(paths[0])!r}, {str(paths[1])!r}]) == 0"
-    )
-    assert "scipy.special" in loaded
-    assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.integrate"))], loaded
+    for name, points, weights in (("a", [[0.0, 0.0], [1.0, 0.5]], [1.0, 0.5]), ("b", [[0.5, 0.0]], [2.0]),
+                                  ("line", [[-0.3], [0.2]], [0.8, 0.5])):
+        paths.append(str(tmp_path / f"{name}.json"))
+        Path(paths[-1]).write_text(json.dumps(measure_to_json(DiscreteMeasure(points, weights))))
+    runs = [["dist", "--metric", metric, paths[0], paths[1]] for metric in ("ghk", "hk")]
+    runs.append(["potentials", paths[2], "--spacing", "0.1", "--out", str(tmp_path / "pot")])
+    for argv in runs:
+        assert _loaded_scipy_modules(f"import hkgeo.cli\nassert hkgeo.cli.main({argv!r}) == 0") == [], argv

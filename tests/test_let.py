@@ -9,6 +9,7 @@ from hkgeo.measures import DiscreteMeasure, cost_matrix_sq, dilate, hellinger_sq
 from hkgeo.let import (
     LetProblem,
     _certificate,
+    _xlogx,
     ghk_sq,
     hk_sq,
     let_problem,
@@ -222,6 +223,17 @@ class TestCertificates:
         _, _, primal, phi0, _, dual = _certificate(np.zeros((2, 1)), np.ones(2), np.ones(1), np.array([[0.0], [np.inf]]))
         assert (primal, primal - dual) == (3.0, 2.0)
         assert phi0[0] == 0.0 and phi0[1] == np.inf
+
+    def test_xlogx_matches_scipy_bit_for_bit(self):
+        # the certificate's s log s must equal scipy.special.xlogy(s, s), which
+        # it replaces; np.log differs from it by one ulp on some inputs
+        from scipy.special import xlogy
+
+        rng = np.random.default_rng(0)
+        near_one = 1.0 + rng.standard_normal(10**5) * 10.0 ** rng.uniform(-12, -1, 10**5)
+        edges = [0.0, 5e-324, np.finfo(float).tiny, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1e300, np.inf]
+        s = np.concatenate([edges, near_one])
+        assert np.array_equal(_xlogx(s), xlogy(s, s))
 
     def test_underflowing_atom_gets_a_feasible_potential(self):
         # ghk costs near 900 from the atom at 30: its optimal mass underflows,

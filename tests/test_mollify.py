@@ -4,12 +4,9 @@ import pytest
 from hkgeo.measures import DiscreteMeasure
 from hkgeo.mollify import (
     MollifierConfig,
-    kappa,
-    kernel_normalization,
     mollify,
     retraction,
     retraction_profile,
-    weak_error,
 )
 
 
@@ -17,28 +14,49 @@ def random_measure(rng, n, dim=1, scale=1.0):
     return DiscreteMeasure(rng.normal(0, scale, (n, dim)), rng.uniform(0.2, 2.0, n))
 
 
-class TestKernel:
-    def test_normalization_1d(self):
-        # int_{-1}^{1} c_1 e^{-1/(1-r^2)} dr = 1
-        xs = np.linspace(-1, 1, 20001)[:, None]
-        vals = kappa(xs, dim=1)
-        assert np.trapezoid(vals, xs[:, 0]) == pytest.approx(1.0, rel=1e-6)
+def weak_error(mu, cfg, tests):
+    """|int phi dT_eps(mu) - int phi dmu| for each test function."""
+    out = mollify(mu, cfg)
+    errs = []
+    for phi in tests:
+        a = float(np.sum(phi(out.points) * out.weights)) if len(out) else 0.0
+        b = float(np.sum(phi(mu.points) * mu.weights)) if len(mu) else 0.0
+        errs.append(abs(a - b))
+    return errs
 
-    def test_support_is_unit_ball(self):
-        assert kappa(np.array([[1.0]]))[0] == 0.0
-        assert kappa(np.array([[0.999]]))[0] > 0.0
 
-    def test_symmetric(self):
-        x = np.array([[0.3, -0.4]])
-        assert kappa(x) == pytest.approx(kappa(-x))
+class TestKernelPatch:
+    """The sampled kernel that mollify stamps around every atom.  eps is a
+    multiple of the spacing (0.4 = 4 x 0.1) or falls between two nodes
+    (0.3 = 4.29 x 0.07)."""
 
-    def test_dim_constants_differ(self):
-        assert kernel_normalization(1) != kernel_normalization(2)
+    @pytest.fixture(
+        params=[(1, 0.4, 0.1), (1, 0.3, 0.07), (2, 0.4, 0.1), (2, 0.3, 0.07), (3, 0.4, 0.1)],
+        ids=lambda p: f"{p[0]}d-eps-{'on' if p[1] == 0.4 else 'between'}-nodes",
+    )
+    def patch(self, request):
+        dim, eps, spacing = request.param
+        cfg = MollifierConfig(eps, spacing, dim)
+        offsets, vals = cfg.kernel_patch()
+        return cfg, offsets, vals
 
-    def test_huge_points_do_not_overflow(self):
-        # |x|^2 overflows beyond |x| ~ 1e154; warnings are errors here
-        assert kappa(np.array([[1e155]]))[0] == 0.0
-        assert np.array_equal(kappa(np.array([[1e200, 0.0], [0.3, -0.4]])), [0.0, kappa([[0.3, -0.4]])[0]])
+    def test_support_in_closed_eps_ball(self, patch):
+        cfg, offsets, _ = patch
+        assert offsets.shape[1] == cfg.dim
+        assert np.all(np.linalg.norm(offsets * cfg.spacing, axis=1) <= cfg.eps)
+
+    def test_values_positive(self, patch):
+        _, offsets, vals = patch
+        assert len(vals) == len(offsets) and np.all(vals > 0)
+
+    def test_symmetric(self, patch):
+        _, offsets, vals = patch
+        at = {tuple(o): v for o, v in zip(offsets.tolist(), vals.tolist())}
+        assert all(at.get(tuple(-c for c in o)) == v for o, v in at.items())
+
+    def test_sums_to_one(self, patch):
+        _, _, vals = patch
+        assert abs(vals.sum() - 1.0) <= 1e-15
 
 
 class TestRetraction:
