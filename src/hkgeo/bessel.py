@@ -65,7 +65,8 @@ def hitting_prob(theta, a, x, b):
 
 
 HITTING_SEGMENT_STEPS = 500  # Euler steps per block of normals drawn for the live paths
-QUAD_RTOL = 1e-10  # relative tolerance asked of scipy's quad for the Dirichlet-form integrals
+QUAD_RTOL = 1e-10  # relative error that _integrate refines its panels toward
+QUAD_MAX_PANELS = 400  # panels _integrate may bisect the interval into
 HYP0F1_MAX_TERMS = 500  # terms the 0F1 series may take before they give up
 
 
@@ -93,22 +94,77 @@ def empirical_hitting(theta, a, x, b, dt, n_paths, rng):
     return {"hit_a": hits_a, "hit_b": hits_b, "unresolved": len(states), "n": n_paths}
 
 
+# 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk21): the positive
+# nodes, largest first, then 0, with their Kronrod weights; the nodes at odd
+# indices are the 10-point Gauss nodes, with the Gauss weights below.  The
+# Kronrod rule is exact for polynomials of degree 31, the Gauss rule for 19.
+_GK21_NODES = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+)
+_GK21_KRONROD_WEIGHTS = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208626368000, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_GK21_GAUSS_WEIGHTS = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+
+
+def _gk21(f, lo, hi):
+    """The 21-point Kronrod value of int_lo^hi f and its error estimate,
+    the distance to the 10-point Gauss value on the same nodes."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    kronrod = _GK21_KRONROD_WEIGHTS[-1] * f(mid)
+    gauss = 0.0
+    for i, x in enumerate(_GK21_NODES[:-1]):
+        pair = f(mid - half * x) + f(mid + half * x)
+        kronrod += _GK21_KRONROD_WEIGHTS[i] * pair
+        if i % 2:
+            gauss += _GK21_GAUSS_WEIGHTS[i // 2] * pair
+    return half * kronrod, abs(half * (kronrod - gauss))
+
+
+def _integrate(f, lo, hi):
+    """int_lo^hi f(t) dt for a scalar callable f, by adaptive Gauss-Kronrod:
+    bisect the panel with the largest error estimate until the estimates sum
+    to at most QUAD_RTOL |value| or QUAD_MAX_PANELS panels are used.  Raises
+    RuntimeError if they still exceed 1e-8 |value|."""
+    value, err = _gk21(f, lo, hi)
+    panels = [(err, lo, hi, value)]
+    while err > QUAD_RTOL * abs(value) and len(panels) < QUAD_MAX_PANELS:
+        worst = max(panels)
+        panels.remove(worst)
+        _, a, b, _ = worst
+        mid = 0.5 * (a + b)
+        for left, right in ((a, mid), (mid, b)):
+            v, e = _gk21(f, left, right)
+            panels.append((e, left, right, v))
+        value = math.fsum(p[3] for p in panels)
+        err = math.fsum(p[0] for p in panels)
+    if not err <= 1e-8 * abs(value):  # also refuses a nan
+        raise RuntimeError(f"quadrature did not reach relative 1e-8 (err {err:.2e})")
+    return float(value)
+
+
 def quadrature_E(theta, chi_prime, cap):
     """E^theta(chi, chi) = int_0^cap t chi'(t)^2 t^{theta-1}/Gamma(theta) dt
-    by adaptive quadrature to relative 1e-8 or better."""
-    from scipy.integrate import quad
-
+    by _integrate: refined toward relative error QUAD_RTOL = 1e-10, and
+    RuntimeError if the error estimate stays above relative 1e-8."""
     if cap <= 0:
         raise ValueError("domain cap must be positive")
     c = 1.0 / gamma_fn(theta)
-
-    def integrand(t):
-        return c * t**theta * chi_prime(t) ** 2
-
-    val, err = quad(integrand, 0.0, cap, epsabs=0.0, epsrel=QUAD_RTOL, limit=400)
-    if val != 0.0 and err > 1e-8 * abs(val):
-        raise RuntimeError(f"quadrature did not reach relative 1e-8 (err {err:.2e})")
-    return float(val)
+    return _integrate(lambda t: c * t**theta * chi_prime(t) ** 2, 0.0, cap)
 
 
 class RadialTestFunction:
@@ -154,24 +210,16 @@ def smooth_bump_radial(lo, hi):
 
 def generator_symmetry(theta, f, g):
     """Residual |E^theta(f, g) + int f (t g'' + theta g') dlambda_theta|;
-    both integrals by adaptive quadrature over the joint support."""
-    from scipy.integrate import quad
-
+    both integrals by _integrate over the joint support, which raises
+    RuntimeError when either misses its tolerance."""
     lo = min(f.support[0], g.support[0])
     hi = max(f.support[1], g.support[1])
     if not (0 < lo < hi < np.inf):
         raise ValueError("supports must be compact inside (0, inf)")
     c = 1.0 / gamma_fn(theta)
-    bilinear, _ = quad(
-        lambda t: c * t**theta * f.d1(t) * g.d1(t), lo, hi, epsabs=0.0, epsrel=QUAD_RTOL, limit=400
-    )
-    against_generator, _ = quad(
-        lambda t: c * t ** (theta - 1.0) * f.f(t) * (t * g.d2(t) + theta * g.d1(t)),
-        lo,
-        hi,
-        epsabs=0.0,
-        epsrel=QUAD_RTOL,
-        limit=400,
+    bilinear = _integrate(lambda t: c * t**theta * f.d1(t) * g.d1(t), lo, hi)
+    against_generator = _integrate(
+        lambda t: c * t ** (theta - 1.0) * f.f(t) * (t * g.d2(t) + theta * g.d1(t)), lo, hi
     )
     scale = max(abs(bilinear), abs(against_generator), 1.0)
     return abs(bilinear + against_generator), scale
@@ -204,19 +252,30 @@ def hyp0f1(a, z):
     raise RuntimeError("0F1 series did not converge")
 
 
+def _rgamma(x):
+    """1/Gamma(x): 0 at the poles x = 0, -1, -2, ..., and exp(-lgamma(x))
+    past x = 171.6, where Gamma(x) overflows a float."""
+    if x <= 0.0 and x == math.floor(x):
+        return 0.0
+    try:
+        return 1.0 / math.gamma(x)
+    except OverflowError:
+        return math.exp(-math.lgamma(x))
+
+
 def hyp0f1_regularized(a, z):
     """0Ftilde1(; a; z) = sum_k rgamma(a + k) z^k / k!; entire in a (the
     reciprocal-Gamma factors vanish at the poles).  Raises like hyp0f1."""
-    from scipy.special import rgamma
-
+    if a < -170.0:
+        raise ValueError("need a >= -170: 1/Gamma(a) overflows a float below it")
     total = magnitudes = 0.0
     zk = 1.0
     for k in range(HYP0F1_MAX_TERMS):
-        term = float(rgamma(a + k)) * zk
+        term = _rgamma(a + k) * zk
         total += term
         magnitudes += abs(total) + abs(term)
         zk *= z / (k + 1.0)
-        if k > 4 and abs(term) <= 1e-16 * max(abs(total), 1e-300) and abs(zk * float(rgamma(a + k + 1))) <= 1e-16:
+        if k > 4 and abs(term) <= 1e-16 * max(abs(total), 1e-300) and abs(zk * _rgamma(a + k + 1)) <= 1e-16:
             return _series_sum(total, magnitudes)
     raise RuntimeError("0F1 series did not converge")
 

@@ -179,6 +179,21 @@ def _truncation_level(beta, trunc_tol):
     return max(8, int(np.ceil(-np.log(trunc_tol) * max(beta, 1.0))) + 16)
 
 
+def _poisson_tail(k, mean):
+    """P(N >= k) for N ~ Poisson(mean) and k > mean: the terms
+    mean^j e^{-mean} / j! summed upward from j = k until they stop adding to
+    the sum, the first in log space through lgamma (mean^k and k! overflow
+    on their own).  No 1 - CDF, which cancels to 0 in the far tail."""
+    log_first = k * math.log(mean) - mean - math.lgamma(k + 1.0)
+    term = total = 1.0
+    j = k
+    while term > 1e-17 * total:
+        j += 1
+        term *= mean / j
+        total += term
+    return math.exp(log_first + math.log(total))
+
+
 def _batch_floats(dim, beta, n, trunc_tol):
     """Upper bound of the float64 values a batch of n measures holds at its
     peak (tracemalloc: 2 dim + 5 per padded atom, for the sticks, the base
@@ -186,13 +201,11 @@ def _batch_floats(dim, beta, n, trunc_tol):
 
     A row needs N + 1 sticks, N ~ Poisson(beta L) with L = -log(trunc_tol),
     since -log(1 - v) ~ Exp(beta) for v ~ Beta(1, beta); the column count
-    is the least k >= the initial level that all n rows stay within except
-    with probability 1e-9, plus the residual column."""
-    from scipy.special import pdtrc
-
+    is the least k >= the initial level (which exceeds beta L) with
+    n P(N >= k) <= 1e-9, P by _poisson_tail, plus the residual column."""
     k = _truncation_level(beta, trunc_tol)
     mean = -beta * math.log(trunc_tol)
-    while n * pdtrc(k - 1, mean) > 1e-9:
+    while n * _poisson_tail(k, mean) > 1e-9:
         k += 1
     return n * (k + 1) * (2 * dim + 6)
 

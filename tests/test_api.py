@@ -63,3 +63,13 @@ def test_let_solves_load_no_scipy(tmp_path):
     runs.append(["potentials", paths[2], "--spacing", "0.1", "--out", str(tmp_path / "pot")])
     for argv in runs:
         assert _loaded_scipy_modules(f"import hkgeo.cli\nassert hkgeo.cli.main({argv!r}) == 0") == [], argv
+
+
+def test_monte_carlo_suites_load_no_scipy(tmp_path):
+    # the guard's Poisson tail, the radial quadrature and 1/Gamma use math alone
+    runs = [["validate", suite, "--n", "20", "--seed", "1"]
+            for suite in ("mecke-df", "mecke-mlp", "invariance", "radial-iso", "bessel")]
+    runs.append(["sample", "df", "--n", "5", "--seed", "1", "--out", str(tmp_path / "df.json")])
+    for argv in runs:
+        code = f"import contextlib, io, hkgeo.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n    assert hkgeo.cli.main({argv!r}) == 0"
+        assert _loaded_scipy_modules(code) == [], argv

@@ -5,6 +5,7 @@ import pytest
 import mpmath
 from math import gamma as gamma_fn
 
+from hkgeo import bessel
 from hkgeo.bessel import (
     bessel_ode_residual,
     dirichlet_form_mc,
@@ -161,6 +162,43 @@ class TestQuadrature:
         v2 = quadrature_E(theta, bump.d1, cap=7.0)  # different domain split
         assert v1 == pytest.approx(v2, rel=1e-8)
 
+    def test_panel_rule_is_exact_to_its_degree(self):
+        # the Kronrod value is exact through degree 31 and the Gauss value
+        # through 19, so their distance vanishes there; both fail one degree up
+        for d in range(32):
+            exact = (2.0 ** (d + 1) - 0.5 ** (d + 1)) / (d + 1)
+            value, err = bessel._gk21(lambda t: t**d, 0.5, 2.0)
+            assert abs(value - exact) <= 4e-16 * exact, d
+            assert (err <= 4e-16 * exact) == (d <= 19), d
+        value, _ = bessel._gk21(lambda t: t**32, -1.0, 1.0)
+        assert abs(value - 2.0 / 33) > 1e-12
+
+    @pytest.mark.parametrize("theta", [0.5, 1.5, 2.0, 3.0])
+    def test_matches_scipy_quad_on_the_library_integrals(self, theta, monkeypatch):
+        # every integral that radial_form_mc and validate bessel take, against
+        # scipy's QUADPACK at the tolerance and panel limit it was called with
+        from scipy.integrate import quad
+
+        integrals = []
+        integrate = bessel._integrate
+
+        def spy(f, lo, hi):
+            integrals.append((f, lo, hi, integrate(f, lo, hi)))
+            return integrals[-1][-1]
+
+        monkeypatch.setattr(bessel, "_integrate", spy)
+        quadrature_E(theta, smooth_bump_radial(1.0, 2.0).d1, cap=2.2)
+        generator_symmetry(theta, smooth_bump_radial(0.8, 2.2), smooth_bump_radial(1.0, 2.6))
+        assert len(integrals) == 3
+        for f, lo, hi, value in integrals:
+            oracle = quad(f, lo, hi, epsabs=0.0, epsrel=bessel.QUAD_RTOL, limit=400)[0]
+            assert value == pytest.approx(oracle, rel=1e-12, abs=0)
+
+    def test_raises_when_the_panels_run_out(self, monkeypatch):
+        monkeypatch.setattr(bessel, "QUAD_MAX_PANELS", 1)
+        with pytest.raises(RuntimeError, match="quadrature did not reach relative 1e-8"):
+            quadrature_E(1.5, smooth_bump_radial(1.0, 2.0).d1, cap=2.2)
+
 
 class TestGeneratorSymmetry:
     def test_bump_pair_residual(self):
@@ -186,6 +224,20 @@ class TestGeneratorSymmetry:
         resid, scale = generator_symmetry(theta, f, g)
         assert resid <= 1e-7 * scale
 
+    def test_either_integral_missing_its_tolerance_raises(self, monkeypatch):
+        from hkgeo.bessel import RadialTestFunction
+
+        f = smooth_bump_radial(0.8, 2.2)
+        g = smooth_bump_radial(1.0, 2.6)
+        # only the integral against the generator sees g'', and 400 panels
+        # cannot resolve 10^5 oscillations of it
+        wild = RadialTestFunction(g.f, g.d1, lambda t: np.sin(1e6 * t), support=g.support)
+        with pytest.raises(RuntimeError, match="quadrature did not reach relative 1e-8"):
+            generator_symmetry(1.5, f, wild)
+        monkeypatch.setattr(bessel, "QUAD_MAX_PANELS", 1)
+        with pytest.raises(RuntimeError, match="quadrature did not reach relative 1e-8"):
+            generator_symmetry(1.5, f, g)
+
 
 class TestHypergeometric:
     def test_value_at_zero(self):
@@ -210,6 +262,9 @@ class TestHypergeometric:
     def test_pole_rejected(self):
         with pytest.raises(ValueError):
             hyp0f1(0.0, 1.0)
+        # 1/Gamma(a) overflows a float below a = -171.6
+        with pytest.raises(ValueError, match="a >= -170"):
+            hyp0f1_regularized(-180.5, 1.0)
 
     @pytest.mark.parametrize(
         "fn,a,z",
@@ -254,7 +309,17 @@ class TestHypergeometric:
                     continue
                 accepted += 1
                 assert abs(value - exact) <= 1e-8 * abs(exact), (a, z, value, exact)
-        assert accepted > 1100  # 1,173 of 1,920 with scipy 1.17 (283-308 of 480 per a)
+        assert accepted > 1100  # 1,173 of 1,920 for either function (283-308 of 480 per a)
+
+    def test_reciprocal_gamma_matches_scipy(self):
+        from scipy.special import rgamma
+
+        xs = np.linspace(-30.5, 171.5, 20_001).tolist()
+        worst = max(abs(bessel._rgamma(x) - rgamma(x)) / abs(rgamma(x)) for x in xs)
+        assert worst <= 1.2e-15  # 1.16e-15, at x = 26.363
+        assert [bessel._rgamma(x) for x in (0.0, -1.0, -30.0)] == [0.0, 0.0, 0.0]
+        for x in (171.7, 172.5):  # past the overflow of Gamma, by exp(-lgamma)
+            assert bessel._rgamma(x) == pytest.approx(float(mpmath.rgamma(x)), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("theta", [0.5, 1.5, 3.0])
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])

@@ -441,8 +441,18 @@ class TestNumericalFailuresExitOne:
         assert capsys.readouterr().err.startswith("error: psi grid does not cover")
 
     def test_radial_iso_quadrature_failure(self, monkeypatch, capsys):
-        monkeypatch.setattr("scipy.integrate.quad", lambda *a, **k: (1.0, 1.0))
+        import hkgeo.bessel as bes
+
+        # every panel reports an error estimate as large as its value
+        monkeypatch.setattr(bes, "_gk21", lambda f, lo, hi: (1.0, 1.0))
         assert main(["validate", "radial-iso", "--n", "20", "--seed", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: quadrature did not reach relative 1e-8")
+
+    def test_bessel_generator_quadrature_failure(self, monkeypatch, capsys):
+        import hkgeo.bessel as bes
+
+        monkeypatch.setattr(bes, "QUAD_MAX_PANELS", 1)
+        assert main(["validate", "bessel", "--n", "20", "--seed", "1"]) == 1
         assert capsys.readouterr().err.startswith("error: quadrature did not reach relative 1e-8")
 
     def test_bessel_0f1_series_failure(self, monkeypatch, capsys):

@@ -430,6 +430,25 @@ class TestMemoryGuard:
         with pytest.raises(ValueError, match="bytes"):
             gamma_batch(params, 10**5, seed=113)
 
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0])
+    def test_poisson_tail_sizes_the_guard_as_pdtrc_does(self, beta):
+        # scipy's pdtrc(k - 1, mean) = P(N >= k) is the oracle: the same
+        # column count for every n, and the same tail at every k it visits
+        from scipy.special import pdtrc
+
+        mean = -beta * np.log(1e-10)
+        for n in [10**e for e in range(10)]:
+            k = randmeas._truncation_level(beta, 1e-10)
+            while True:
+                exact = pdtrc(k - 1, mean)
+                if exact > 1e-300:
+                    assert abs(randmeas._poisson_tail(k, mean) - exact) <= 1e-12 * exact, (n, k)
+                if n * exact <= 1e-9:
+                    break
+                k += 1
+            for dim in (1, 2):
+                assert randmeas._batch_floats(dim, beta, n, 1e-10) == n * (k + 1) * (2 * dim + 6), (n, dim)
+
 
 class TestCheckReportTiming:
     def test_runtime_and_per_sample_positive(self, params):
